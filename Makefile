@@ -14,10 +14,11 @@ LINTBIN := bin/selfstablint
 SARIF_FRAGMENTS := lint-sarif-out
 SARIF_REPORT := selfstablint.sarif
 
-# Benchmark baseline: BENCH_3.json holds labeled runs of the large-n,
-# million-node sharded, and service group-commit benchmarks (parsed
-# metrics + raw benchfmt lines, benchstat-compatible; see
-# cmd/benchjson). BENCH_1.json (pre-sharding) and BENCH_2.json
+# Benchmark baseline: BENCH_3.json holds labeled runs of BENCH_PATTERN
+# (parsed metrics + raw benchfmt lines, benchstat-compatible; see
+# cmd/benchjson). Its first run, group-commit, holds only the service
+# group-commit benchmarks; later runs add the large-n and million-node
+# sharded rows. BENCH_1.json (pre-sharding) and BENCH_2.json
 # (pre-group-commit) are the frozen historical baselines. bench-json
 # appends a fresh labeled run; bench-diff compares a fresh run against
 # the last recorded one and exits non-zero past the threshold

@@ -291,32 +291,12 @@ func BenchmarkRoundSMI(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelRound1W/4W measure one parallel round on a large
-// graph with 1 vs. 4 workers — the scaling headroom of the data-parallel
-// executor relative to BenchmarkRoundSMMLarge's serial baseline. On a
-// single-core machine (like the CI container this repository was
-// developed in) the worker pool can only add overhead; the speedup
-// materializes with GOMAXPROCS > 1.
+// BenchmarkRoundSMMLarge measures one SMM round on a 4096-node graph.
 func BenchmarkRoundSMMLarge(b *testing.B) {
 	g := graph.RandomConnected(4096, 0.002, rand.New(rand.NewSource(42)))
 	cfg := core.NewConfig[core.Pointer](g)
 	cfg.Randomize(core.NewSMM(), rand.New(rand.NewSource(1)))
 	l := sim.NewLockstep[core.Pointer](core.NewSMM(), cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Step()
-	}
-}
-
-func BenchmarkParallelRound1W(b *testing.B) { benchParallelRound(b, 1) }
-func BenchmarkParallelRound4W(b *testing.B) { benchParallelRound(b, 4) }
-
-func benchParallelRound(b *testing.B, workers int) {
-	g := graph.RandomConnected(4096, 0.002, rand.New(rand.NewSource(42)))
-	cfg := core.NewConfig[core.Pointer](g)
-	cfg.Randomize(core.NewSMM(), rand.New(rand.NewSource(1)))
-	l := sim.NewParallel[core.Pointer](core.NewSMM(), cfg, workers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -429,8 +409,8 @@ func BenchmarkHarnessQuick(b *testing.B) {
 // BenchmarkHarnessE1Workers1/4 measure one full E1 table with the cell
 // pool pinned to 1 vs. 4 workers. The tables are byte-identical by
 // construction (per-cell derived seeds); the ratio is the harness-level
-// parallel speedup. As with BenchmarkParallelRound, a single-core
-// machine shows only pool overhead — the speedup needs GOMAXPROCS > 1.
+// parallel speedup. A single-core machine shows only pool overhead —
+// the speedup needs GOMAXPROCS > 1.
 func BenchmarkHarnessE1Workers1(b *testing.B) { benchHarnessE1(b, 1) }
 func BenchmarkHarnessE1Workers4(b *testing.B) { benchHarnessE1(b, 4) }
 
@@ -519,32 +499,14 @@ func BenchmarkLarge_SMISparse1024(b *testing.B) { benchLargeSMI(b, largeSparse(1
 func BenchmarkLarge_SMISparse4096(b *testing.B) { benchLargeSMI(b, largeSparse(4096)) }
 func BenchmarkLarge_SMIDisk1024(b *testing.B)   { benchLargeSMI(b, largeDisk(1024)) }
 
-// BenchmarkLarge_SMMSparse1024Parallel4W is the data-parallel executor
-// on the same workload, for the frontier × worker-pool interaction.
-func BenchmarkLarge_SMMSparse1024Parallel4W(b *testing.B) {
-	g := largeSparse(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := benchSMMConfig(g, int64(i))
-		b.StartTimer()
-		l := sim.NewParallel[core.Pointer](core.NewSMM(), cfg, 4)
-		if res := l.Run(g.N() + 2); !res.Stable {
-			b.Fatal(res)
-		}
-	}
-}
-
 // The BenchmarkShard1M_* family is the sharded executor at deliverable
 // scale: one million nodes, sparse (expected degree 8) and unit-disk
 // (expected degree ~10) topologies, at 1/2/4/8 shards. Each iteration
 // restores the same random initial configuration and converges from
 // scratch on a pre-built executor, so steady-state iterations allocate
 // nothing (the first convergence, before the timer, warms the drain
-// buffers and spawns the worker pool). As with the Parallel benches,
-// the single-shard-vs-many ratio on a GOMAXPROCS=1 machine shows only
-// barrier overhead — the near-linear speedup materializes with
+// buffers and spawns the worker pool). The single-shard-vs-many ratio
+// on a GOMAXPROCS=1 machine shows only barrier overhead — the near-linear speedup materializes with
 // GOMAXPROCS > 1, one core per shard.
 
 // megaSparseG/megaDiskG cache the million-node topologies: construction

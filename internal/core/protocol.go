@@ -79,8 +79,8 @@ type Protocol[S comparable] interface {
 // a View whose Peers is states — executors use it on their unfiltered
 // hot path, fall back to Move everywhere reads are mediated, and the
 // metamorphic suite replays both paths for equality. Implementations
-// must be safe for concurrent calls over disjoint id sets: the
-// data-parallel executor partitions a round's frontier across workers.
+// must be safe for concurrent calls over disjoint id sets: the lockstep
+// engine evaluates its shards' ranges in parallel.
 type BatchEvaluator[S comparable] interface {
 	// MoveBatch is an allocation-free contract: implementations and the
 	// round loops that call it are checked by the noalloc analyzer.
@@ -89,42 +89,24 @@ type BatchEvaluator[S comparable] interface {
 	MoveBatch(ids []graph.NodeID, csr *graph.CSR, states []S, next []S, moved []bool)
 }
 
-// BatchInstaller is an optional protocol fast path for the install half of
-// a round: InstallBatch commits next[id] into states[id] for every id in
-// ids, marks every node whose next Move output could now differ on f, and
-// returns the number of ids with moved[id] set. The generic install marks
-// the full closed neighborhood of every changed node; an implementation
-// may mark any subset that still covers the protocol's true read
-// dependencies (e.g. an SMM node holding a pointer reads only its target,
-// an SMI node reads only its bigger neighbors). Under-marking breaks the
-// frontier engine's byte-identity with the full scan, which is exactly
-// what the metamorphic equivalence suite replays for. Unlike MoveBatch,
-// InstallBatch is called from one goroutine only.
-type BatchInstaller[S comparable] interface {
-	// InstallBatch is an allocation-free contract (see noalloc).
-	//
-	//selfstab:noalloc
-	InstallBatch(ids []graph.NodeID, csr *graph.CSR, states []S, next []S, moved []bool, f *graph.Frontier) int
-}
-
-// ShardKernel is an optional protocol fast path for sharded executors,
-// which split the install half of a round at a barrier so shards never
-// read a half-committed state vector: first every shard commits its own
-// nodes (CommitBatch — disjoint writes, no reads of other shards'
-// states), then, after all commits land, every shard derives its
-// re-evaluation marks from the fully post-round state vector (MarkBatch
-// — concurrent reads of immutable-for-the-phase states, writes only to
-// the shard's own frontier).
+// ShardKernel is an optional protocol fast path for the install half of
+// a lockstep round, split at a barrier so shards never read a
+// half-committed state vector: first every shard commits its own nodes
+// (CommitBatch — disjoint writes, no reads of other shards' states),
+// then, after all commits land, every shard derives its re-evaluation
+// marks from the fully post-round state vector (MarkBatch — concurrent
+// reads of immutable-for-the-phase states, writes only to the shard's
+// own frontier).
 //
-// MarkBatch must mark a superset of the nodes whose next Move output
-// could differ because of this round's changes, reading neighbor states
-// as they stand after the round. For SMM and SMI the sequential
-// InstallBatch dependency tests remain sound under post-round reads:
-// the InstallBatch comments argue the mark test is order-independent
-// ("whether k installs before us or after us"), and reading post-round
-// states is simply the all-installs-first order. The sharded
-// metamorphic suite replays random workloads at 1–8 shards against the
-// reference engine to pin the resulting byte-identity.
+// The generic install marks the full closed neighborhood of every
+// changed node; MarkBatch may mark any subset that still covers the
+// nodes whose next Move output could differ because of this round's
+// changes, reading neighbor states as they stand after the round (e.g.
+// an SMM node holding a pointer reads only its target, an SMI node reads
+// only its bigger neighbors). The SMM and SMI MarkBatch comments argue
+// why their tests hold in any install order, post-round reads included.
+// Under-marking breaks byte-identity with the full scan, which is
+// exactly what the metamorphic suite replays for at 1–8 shards.
 //
 // CommitBatch must be safe for concurrent calls over disjoint id sets,
 // and MarkBatch for concurrent calls over disjoint id sets with

@@ -96,58 +96,35 @@ func (*SMI) MoveBatch(ids []graph.NodeID, csr *graph.CSR, states, next []bool, m
 	}
 }
 
-// InstallBatch implements BatchInstaller. Both rules test only neighbors
-// with bigger IDs, so a state change at id can re-privilege a neighbor w
-// only when w < id — the ascending CSR row makes those a prefix.
-//
-//selfstab:noalloc
-func (*SMI) InstallBatch(ids []graph.NodeID, csr *graph.CSR, states, next []bool, moved []bool, f *graph.Frontier) int {
-	offs, nbrs := csr.Rows32()
-	mv := 0
-	for _, id := range ids {
-		// SMI is deterministic: each rule flips the bit, so moved coincides
-		// exactly with "the state changed".
-		if !moved[id] {
-			continue
-		}
-		mv++
-		states[id] = next[id]
-		// No self re-mark: a mover's next-round privilege depends only on
-		// its bigger in-set neighbors, so it can only be re-enabled by a
-		// bigger neighbor's change — and that neighbor's install marks its
-		// whole smaller-ID prefix, which includes this node.
-		id32 := int32(id)
-		for _, w := range nbrs[offs[id]:offs[id+1]] {
-			if w >= id32 {
-				break
-			}
-			f.Add(graph.NodeID(w))
-		}
-	}
-	return mv
-}
-
-// CommitBatch implements ShardKernel: the commit half of InstallBatch
-// (moved coincides with "the state changed" — SMI flips the bit). Writes
+// CommitBatch implements ShardKernel. SMI is deterministic — each rule
+// flips the bit — so moved coincides exactly with "the state changed"
+// and a non-mover's next equals its state: the loop stores every next
+// unconditionally and counts movers with a select instead of a branch,
+// since moved is too data-dependent for the branch predictor. Writes
 // touch only ids' slots — safe across shards with disjoint id sets.
 //
 //selfstab:noalloc
 func (*SMI) CommitBatch(ids []graph.NodeID, states, next []bool, moved []bool) int {
 	mv := 0
 	for _, id := range ids {
+		states[id] = next[id]
+		m := 0
 		if moved[id] {
-			mv++
-			states[id] = next[id]
+			m = 1
 		}
+		mv += m
 	}
 	return mv
 }
 
-// MarkBatch implements ShardKernel: the marking half of InstallBatch. It
-// reads no states at all — each mover marks its smaller-ID neighbor
-// prefix from the CSR alone (the InstallBatch comment explains why no
-// self re-mark is needed) — so it is trivially sound under any commit
-// order, including the sharded all-installs-first order.
+// MarkBatch implements ShardKernel. Both rules test only neighbors with
+// bigger IDs, so a state change at id can re-privilege a neighbor w only
+// when w < id — the ascending CSR row makes those a prefix. No self
+// re-mark: a mover's next-round privilege depends only on its bigger
+// in-set neighbors, so it can only be re-enabled by a bigger neighbor's
+// change — and that neighbor's mark pass covers its whole smaller-ID
+// prefix, which includes this node. The marks read no states at all,
+// only the CSR, so they are trivially sound in any install order.
 //
 //selfstab:noalloc
 func (*SMI) MarkBatch(ids []graph.NodeID, csr *graph.CSR, _ []bool, moved []bool, f *graph.Frontier) {

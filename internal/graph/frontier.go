@@ -34,7 +34,15 @@ type Frontier struct {
 // (round 0 must evaluate everyone: any node may be privileged in an
 // arbitrary initial configuration).
 func NewFrontier(n int) *Frontier {
-	return &Frontier{flags: make([]byte, (n+7)&^7), full: true}
+	f := MakeFrontier(n)
+	f.full = true
+	return &f
+}
+
+// MakeFrontier returns an empty frontier over n nodes by value, for
+// executors that hold one per shard inline instead of behind a pointer.
+func MakeFrontier(n int) Frontier {
+	return Frontier{flags: make([]byte, (n+7)&^7)}
 }
 
 // Add marks node v dirty. Unconditional on purpose: the store absorbs

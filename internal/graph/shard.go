@@ -17,6 +17,10 @@ import "sort"
 // shard writes outside its own range during the mark phase lands inside
 // its halo, so absorbing those spans is a complete cross-shard exchange.
 //
+// A single shard owns every node, so it has no halo and nothing to
+// absorb: NewPartition(c, 1) skips the boundary index entirely and costs
+// O(1) regardless of the graph.
+//
 // A Partition is immutable after NewPartition returns and safe to share
 // between goroutines.
 type Partition struct {
@@ -39,15 +43,15 @@ func NewPartition(c *CSR, k int) *Partition {
 	if k < 1 {
 		k = 1
 	}
-	p := &Partition{
-		csr:    c,
-		starts: make([]int32, k+1),
-		halos:  make([][]NodeID, k),
-		spans:  make([][2]int32, k*k),
-	}
+	p := &Partition{csr: c, starts: make([]int32, k+1)}
 	for s := 0; s <= k; s++ {
 		p.starts[s] = int32(s * n / k)
 	}
+	if k == 1 {
+		return p
+	}
+	p.halos = make([][]NodeID, k)
+	p.spans = make([][2]int32, k*k)
 	for s := 0; s < k; s++ {
 		p.halos[s] = buildHalo(c, int(p.starts[s]), int(p.starts[s+1]))
 	}
@@ -122,10 +126,15 @@ func (p *Partition) Owner(v NodeID) int {
 }
 
 // Halo returns shard s's halo: the sorted non-owned neighbors of its
-// owned nodes. Read-only.
+// owned nodes (none when one shard owns everything). Read-only.
 //
 //selfstab:noalloc
-func (p *Partition) Halo(s int) []NodeID { return p.halos[s] }
+func (p *Partition) Halo(s int) []NodeID {
+	if p.halos == nil {
+		return nil
+	}
+	return p.halos[s]
+}
 
 // AbsorbSpan returns the subrange [lo, hi) of shard t's node range that
 // shard s's halo covers: the only part of t's range shard s can mark
@@ -134,6 +143,9 @@ func (p *Partition) Halo(s int) []NodeID { return p.halos[s] }
 //
 //selfstab:noalloc
 func (p *Partition) AbsorbSpan(s, t int) (lo, hi NodeID) {
+	if p.spans == nil {
+		return 0, 0
+	}
 	sp := p.spans[s*p.K()+t]
 	return NodeID(sp[0]), NodeID(sp[1])
 }
@@ -168,7 +180,7 @@ func (p *Partition) View(s int) ShardView {
 		Hi:   NodeID(hi),
 		Offs: p.csr.offs[lo : hi+1],
 		Nbrs: p.csr.nbrs[p.csr.offs[lo]:p.csr.offs[hi]],
-		Halo: p.halos[s],
+		Halo: p.Halo(s),
 	}
 }
 

@@ -12,23 +12,26 @@ import (
 )
 
 // TestConcurrentExecutorsStress is a race-detector target: it drives the
-// three concurrent subsystems — the data-parallel round executor, the
-// harness worker pool, and the sharded model checker — at the same time,
+// three concurrent subsystems — the sharded round engine's worker pool,
+// the harness worker pool, and the sharded model checker — at the same time,
 // each itself multi-threaded, so `go test -race` observes their shared
 // state (round barriers, the atomic cell counter, the atomic memo table)
 // under contention.
 func TestConcurrentExecutorsStress(t *testing.T) {
 	var wg sync.WaitGroup
 
-	// 1. sim.Parallel stepping a mid-size SMM instance to stability.
+	// 1. A 4-shard engine stepping an SMM instance to stability. At 4096
+	// nodes the full first round reaches the pool threshold, so real
+	// shard workers run the phases.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rng := rand.New(rand.NewSource(DeriveSeed(1, "race", "parallel", 128, 0)))
-		g := graph.RandomConnected(128, 0.05, rng)
+		rng := rand.New(rand.NewSource(DeriveSeed(1, "race", "sharded", 4096, 0)))
+		g := graph.RandomSparseConnected(4096, 8, rng)
 		cfg := core.NewConfig[core.Pointer](g)
 		cfg.Randomize(core.NewSMM(), rng)
-		l := sim.NewParallel[core.Pointer](core.NewSMM(), cfg, 4)
+		l := sim.NewShardedLockstep[core.Pointer](core.NewSMM(), cfg, 4)
+		defer l.Close()
 		for i := 0; i < 200 && l.Step() > 0; i++ {
 		}
 	}()

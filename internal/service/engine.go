@@ -146,8 +146,8 @@ func (e *engine[S]) neighbors(v graph.NodeID) []graph.NodeID { return e.cfg.G.Ne
 func (e *engine[S]) close() { e.fl.Close() }
 
 // newEngine builds the tenant executor for the named protocol over an
-// initially edge-listed topology. shards > 1 selects the sharded
-// frontier engine.
+// initially edge-listed topology, at the given shard count (clamped to
+// [1, n], so the zero value selects one shard).
 func newEngine(protocol string, n int, edges [][2]int, shards int) (tenantEngine, error) {
 	g := graph.New(n)
 	for _, e := range edges {
@@ -166,7 +166,7 @@ func newEngine(protocol string, n int, edges [][2]int, shards int) (tenantEngine
 		return &engine[core.Pointer]{
 			name: ProtocolSMM,
 			p:    core.NewSMM(),
-			fl:   newFaultLockstep(core.NewSMM(), cfg, shards),
+			fl:   sim.NewShardedFaultLockstep(core.NewSMM(), cfg, shards),
 			cfg:  cfg,
 			enc:  encodePointers,
 			dec:  decodePointers,
@@ -179,7 +179,7 @@ func newEngine(protocol string, n int, edges [][2]int, shards int) (tenantEngine
 		return &engine[bool]{
 			name: ProtocolSMI,
 			p:    core.NewSMI(),
-			fl:   newFaultLockstep[bool](core.NewSMI(), cfg, shards),
+			fl:   sim.NewShardedFaultLockstep[bool](core.NewSMI(), cfg, shards),
 			cfg:  cfg,
 			enc:  encodeBools,
 			dec:  decodeBools,
@@ -190,13 +190,6 @@ func newEngine(protocol string, n int, edges [][2]int, shards int) (tenantEngine
 	default: // unknown protocols are rejected at tenant creation
 		return nil, fmt.Errorf("unknown protocol %q (want %q or %q)", protocol, ProtocolSMM, ProtocolSMI)
 	}
-}
-
-func newFaultLockstep[S comparable](p core.Protocol[S], cfg core.Config[S], shards int) *sim.FaultLockstep[S] {
-	if shards > 1 {
-		return sim.NewShardedFaultLockstep(p, cfg, shards)
-	}
-	return sim.NewFaultLockstep(p, cfg)
 }
 
 // protocolBound returns the convergence budget the service enforces per

@@ -34,8 +34,7 @@ import (
 // A flip or tail can turn the cut into a complete, well-formed JSON
 // line that the live path would have rejected — which is why
 // replayEntry re-validates (see the comment there) and why this fuzz
-// drives that seam. The single-segment case writes the legacy
-// journal.jsonl name, keeping the migration path under fuzz too.
+// drives that seam.
 func FuzzJournalRecover(f *testing.F) {
 	f.Add(int64(1<<30), byte(0), []byte{}, uint8(0), false, false)                                                     // untouched journal
 	f.Add(int64(37), byte(0), []byte(`{"seq":`), uint8(0), false, false)                                               // torn mid-line
@@ -97,16 +96,9 @@ func FuzzJournalRecover(f *testing.F) {
 		}
 
 		// writeLayout materializes the segment files with lastBytes as
-		// the active segment's content. k == 1 uses the legacy
-		// single-file name so migration stays covered.
+		// the active segment's content (k == 1: segment 1 alone).
 		writeLayout := func(t *testing.T, lastBytes []byte) string {
 			dir := t.TempDir()
-			if k == 1 {
-				if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), lastBytes, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return dir
-			}
 			for i := 0; i < k-1; i++ {
 				if err := os.WriteFile(segmentPath(dir, int64(i+1)), segs[i], 0o644); err != nil {
 					t.Fatal(err)

@@ -171,17 +171,6 @@ func openJournal(dir string, segBytes int64) (*journal, []Mutation, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Migrate a pre-segmentation journal in place: the single file
-	// becomes segment 1.
-	legacy := filepath.Join(dir, "journal.jsonl")
-	if len(nums) == 0 {
-		if _, serr := os.Stat(legacy); serr == nil {
-			if err := os.Rename(legacy, segmentPath(dir, 1)); err != nil {
-				return nil, nil, err
-			}
-			nums = []int64{1}
-		}
-	}
 	created := len(nums) == 0
 	if created {
 		nums = []int64{1}

@@ -33,7 +33,8 @@ type Options struct {
 	// ConvergeSlice is the active-round granularity at which the event
 	// loop releases the tenant lock during convergence. Default 64.
 	ConvergeSlice int
-	// Shards > 1 runs each tenant on the sharded frontier engine.
+	// Shards is each tenant engine's shard count; values below 1 mean
+	// one shard, which never spawns worker goroutines.
 	Shards int
 	// MaxTenants caps the registry; creation past the cap is 429.
 	// Default 256.

@@ -5,22 +5,24 @@
 // exactly to the paper's "period of time in which each node in the system
 // receives beacon messages from all its neighbors".
 //
-// Two engines share the Lockstep type. The default (NewLockstep) is the
-// active-frontier engine: after each round only nodes whose local view
-// may have changed — movers, nodes whose state changed, and the
-// neighbors of the latter — are enqueued for evaluation next round.
-// Because Move is a pure function of the local view (enforced by the
-// purity analyzer; see DESIGN.md, "Active-frontier scheduling"), a
-// node outside the frontier is guaranteed to be a no-op, so every Result,
-// trace, and state sequence is byte-identical to the full scan. The
-// reference engine (NewReferenceLockstep) keeps the plain evaluate-
-// everything loop; the metamorphic suite replays random workloads on
-// both and demands equality.
+// One engine runs every Lockstep: the active-frontier round of
+// sharded.go over K contiguous node ranges, K=1 by default. After each
+// round only nodes whose local view may have changed — movers, nodes
+// whose state changed, and the neighbors of the latter — are enqueued
+// for evaluation next round. Because Move is a pure function of the
+// local view (enforced by the purity analyzer; see DESIGN.md,
+// "Active-frontier scheduling"), a node outside the frontier is
+// guaranteed to be a no-op, so every Result, trace, and state sequence
+// is byte-identical to the full scan. The reference engine
+// (NewReferenceLockstep) runs the same round with every node evaluated
+// every round; the metamorphic suite replays random workloads on both
+// and demands equality.
 package sim
 
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"selfstab/internal/core"
 	"selfstab/internal/graph"
@@ -63,9 +65,9 @@ type Instance interface {
 }
 
 // filteredViewer is the reusable viewer-aware peer reader of fault runs:
-// one value per executor, re-targeted per node by writing viewer, so the
-// peerFilter path allocates nothing per node (the closure over the
-// pointer is created once at construction).
+// one value per shard, re-targeted per node by writing viewer, so the
+// peerFilter path allocates nothing per node (the method value over the
+// pointer is bound once, when the filter is installed).
 type filteredViewer[S comparable] struct {
 	viewer graph.NodeID
 	states []S
@@ -83,6 +85,7 @@ type Lockstep[S comparable] struct {
 	p      core.Protocol[S]
 	cfg    core.Config[S]
 	next   []S
+	moved  []bool // per-node active flag of the current round
 	rounds int
 	moves  int
 	// peerFilter, when non-nil, intercepts every neighbor-state read of a
@@ -91,65 +94,93 @@ type Lockstep[S comparable] struct {
 	// tables) without touching the true states; nil in normal runs.
 	peerFilter func(viewer, nbr graph.NodeID, fresh S) S
 
-	// fullScan selects the reference engine: every node every round.
+	// fullScan selects the reference engine: every round is a full round.
 	fullScan bool
 	// csr is the flat adjacency snapshot serving all neighbor reads; it
-	// is rebuilt (and the frontier fully re-dirtied) whenever the
-	// topology's version moves without a DirtyEdge notification.
-	csr       *graph.CSR
-	frontier  *graph.Frontier
-	movedBuf  []bool         // per-node active flag of the current round
-	activeBuf []graph.NodeID // reusable frontier drain buffer
+	// is rebuilt (and every node re-dirtied) whenever the topology's
+	// version moves without a DirtyEdge notification.
+	csr *graph.CSR
+	// part splits the node IDs into contiguous ranges, one per shard;
+	// shards[s] holds range s's frontier, drain buffer and counters (see
+	// sharded.go for the round that runs over them).
+	part   *graph.Partition
+	shards []shard[S]
 
-	// peerFn and filteredFn are the two per-round Peer readers, allocated
-	// once here instead of once per round (or, pre-frontier, once per
-	// node per round on the filtered path).
-	peerFn     func(graph.NodeID) S
-	fv         filteredViewer[S]
-	filteredFn func(graph.NodeID) S
+	// peerFn is the unfiltered per-node Peer reader of the generic Move
+	// path, allocated once here instead of once per round; kernel
+	// protocols read the state vector directly and never get one.
+	peerFn func(graph.NodeID) S
 
-	// batch, when the protocol provides one, evaluates a whole round in a
-	// single call on the unfiltered path — no View construction and no
-	// interface dispatch per node. It is nil for wrapped or third-party
-	// protocols, which take the per-node Move loop. installer is the
-	// matching fast path for the install half of the round; it
-	// additionally prunes the next frontier to the protocol's true read
-	// dependencies instead of whole closed neighborhoods.
-	batch     core.BatchEvaluator[S]
-	installer core.BatchInstaller[S]
+	// batch, when the protocol provides one, evaluates a shard's drained
+	// nodes in a single call on the unfiltered path — no View
+	// construction and no interface dispatch per node. skern is the
+	// matching install fast path, which additionally prunes the next
+	// frontier to the protocol's true read dependencies instead of whole
+	// closed neighborhoods. Both are nil for wrapped or third-party
+	// protocols, which take the per-node Move loop and the generic
+	// commit and mark.
+	batch core.BatchEvaluator[S]
+	skern core.ShardKernel[S]
 
-	// sh, when non-nil, switches Step to the sharded engine: the node ID
-	// space is partitioned into contiguous ranges, each with its own
-	// frontier, and rounds run as barrier-separated shard phases (see
-	// sharded.go). All observable behavior is unchanged.
-	sh *shardRT[S]
+	fullRound  bool // next round evaluates everyone (Run entry, topology resync)
+	roundFull  bool // the round in flight is a full round
+	parallel   bool // the round in flight uses the worker pool
+	lastActive int  // drained size of the previous round, the pool heuristic
+
+	// workCh feeds the shard workers; nil until a round first needs the
+	// pool, and always nil with a single shard.
+	workCh chan shardReq
+	wg     sync.WaitGroup
 }
 
 // NewLockstep wraps protocol p over configuration cfg with the
-// active-frontier engine. The configuration is used in place (not
-// copied): callers observing cfg see the evolving states.
+// active-frontier engine at one shard (the SetShards test seam can raise
+// that default). The configuration is used in place (not copied):
+// callers observing cfg see the evolving states.
 //
 // Callers that mutate cfg.States or the topology directly between
 // rounds must either call Run (which re-dirties everything at entry) or
 // notify the engine through DirtyState/DirtyEdge; the fault adapters do
 // the latter. Topology edits are self-detected via graph.Version.
 func NewLockstep[S comparable](p core.Protocol[S], cfg core.Config[S]) *Lockstep[S] {
+	return NewShardedLockstep(p, cfg, int(defaultShards.Load()))
+}
+
+// NewShardedLockstep wraps protocol p over configuration cfg with the
+// frontier engine at the given shard count, clamped to [1, n].
+// Semantics do not depend on the count — same Results, same state
+// evolution, byte for byte — but with two or more shards, rounds large
+// enough to pay for dispatch run shard-parallel. Call Close when done to
+// release the worker pool (a pool is only spawned once a round exceeds
+// an internal size threshold, so small executions and single-shard
+// engines hold no goroutines).
+func NewShardedLockstep[S comparable](p core.Protocol[S], cfg core.Config[S], shards int) *Lockstep[S] {
+	n := len(cfg.States)
 	l := &Lockstep[S]{
 		p:         p,
 		cfg:       cfg,
-		next:      make([]S, len(cfg.States)),
-		frontier:  graph.NewFrontier(len(cfg.States)),
-		movedBuf:  make([]bool, len(cfg.States)),
-		activeBuf: make([]graph.NodeID, 0, len(cfg.States)),
+		next:      make([]S, n),
+		moved:     make([]bool, n),
 		fullScan:  referenceScan.Load(),
+		csr:       cfg.G.Snapshot(),
+		fullRound: true,
 	}
-	states := cfg.States // the slice header is stable; only elements change
-	l.peerFn = func(j graph.NodeID) S { return states[j] }
-	l.filteredFn = l.fv.read
+	l.part = graph.NewPartition(l.csr, shards)
 	l.batch, _ = p.(core.BatchEvaluator[S])
-	l.installer, _ = p.(core.BatchInstaller[S])
-	if k := int(defaultShards.Load()); k > 1 && !l.fullScan {
-		l.attachShards(k)
+	l.skern, _ = p.(core.ShardKernel[S])
+	if l.batch == nil {
+		states := cfg.States // the slice header is stable; only elements change
+		l.peerFn = func(j graph.NodeID) S { return states[j] }
+	}
+	l.shards = make([]shard[S], l.part.K())
+	for s := range l.shards {
+		lo, hi := l.part.Range(s)
+		sh := &l.shards[s]
+		sh.front = graph.MakeFrontier(n)
+		sh.ids = make([]graph.NodeID, 0, hi-lo)
+		if l.skern == nil {
+			sh.chg = make([]bool, hi-lo)
+		}
 	}
 	return l
 }
@@ -157,12 +188,24 @@ func NewLockstep[S comparable](p core.Protocol[S], cfg core.Config[S]) *Lockstep
 // NewReferenceLockstep wraps p over cfg with the full-scan reference
 // engine: every node is evaluated every round, exactly the paper's
 // round structure with no scheduling shortcut. It exists as the oracle
-// the metamorphic tests compare the frontier engine against.
+// the metamorphic tests compare the frontier engine against, and runs
+// at one shard whatever SetShards says.
 func NewReferenceLockstep[S comparable](p core.Protocol[S], cfg core.Config[S]) *Lockstep[S] {
-	l := NewLockstep(p, cfg)
+	l := NewShardedLockstep(p, cfg, 1)
 	l.fullScan = true
-	l.sh = nil // the reference engine wins over the sharding seam
 	return l
+}
+
+// filterPeers installs f as the peer-read filter of every round and
+// binds each shard's filtered reader once, so the filtered path
+// allocates nothing per round.
+func (l *Lockstep[S]) filterPeers(f func(viewer, nbr graph.NodeID, fresh S) S) {
+	l.peerFilter = f
+	for s := range l.shards {
+		sh := &l.shards[s]
+		sh.fv = filteredViewer[S]{states: l.cfg.States, filter: f}
+		sh.filtFn = sh.fv.read
+	}
 }
 
 // Name implements Instance.
@@ -188,16 +231,11 @@ func (l *Lockstep[S]) DirtyState(v graph.NodeID) {
 	}
 }
 
-// dirty marks one node for re-evaluation, routing to the owning shard's
-// frontier on the sharded engine.
+// dirty marks one node for re-evaluation on its owning shard's frontier.
 //
 //selfstab:noalloc
 func (l *Lockstep[S]) dirty(v graph.NodeID) {
-	if l.sh != nil {
-		l.sh.mark(v)
-		return
-	}
-	l.frontier.Add(v)
+	l.shards[l.part.Owner(v)].front.Add(v)
 }
 
 // DirtyView marks node v alone for re-evaluation: its effective view
@@ -217,12 +255,10 @@ func (l *Lockstep[S]) DirtyView(v graph.NodeID) {
 func (l *Lockstep[S]) DirtyEdge(u, v graph.NodeID) {
 	if !l.csr.Fresh(l.cfg.G) {
 		l.csr = l.cfg.G.Snapshot()
-		if l.sh != nil {
-			// Ranges depend only on (n, k) and stay put, but the halo
-			// index follows the edge set: rebuild it so the next absorb
-			// phase still covers every cross-shard mark.
-			l.sh.part = graph.NewPartition(l.csr, l.sh.k)
-		}
+		// Ranges depend only on (n, K) and stay put, but the halo index
+		// follows the edge set: rebuild it so the next absorb phase still
+		// covers every cross-shard mark (O(1) at one shard).
+		l.part = graph.NewPartition(l.csr, len(l.shards))
 	}
 	for _, x := range [2]graph.NodeID{u, v} {
 		l.dirty(x)
@@ -230,97 +266,6 @@ func (l *Lockstep[S]) DirtyEdge(u, v graph.NodeID) {
 			l.dirty(w)
 		}
 	}
-}
-
-// Step implements Instance: every frontier node evaluates its rules
-// against the current configuration and all resulting states are
-// installed at once. Non-frontier nodes are provably no-ops (their view
-// is unchanged since they last evaluated inactive), so the returned
-// move count equals the full scan's. Steady-state rounds allocate
-// nothing (pinned by noalloc and the bench gate); the suppressed cold
-// paths below run only on topology resync or for protocols without
-// batch kernels.
-//
-//selfstab:noalloc
-func (l *Lockstep[S]) Step() int {
-	if l.sh != nil {
-		return l.stepSharded()
-	}
-	if !l.csr.Fresh(l.cfg.G) {
-		// The topology changed behind our back (mobility churn, a test
-		// editing the graph): re-snapshot and re-evaluate everyone.
-		//lint:ignore noalloc cold resync path, runs only when the topology version moved
-		l.csr = l.cfg.G.Snapshot()
-		l.frontier.AddAll()
-	}
-	if l.fullScan {
-		l.frontier.AddAll()
-	}
-	n := len(l.cfg.States)
-	active := l.frontier.Drain(l.activeBuf, n)
-	l.activeBuf = active
-
-	states := l.cfg.States
-	filtered := l.peerFilter != nil
-	switch {
-	case l.batch != nil && !filtered:
-		l.batch.MoveBatch(active, l.csr, states, l.next, l.movedBuf)
-	default:
-		pv := l.peerFn
-		direct := states
-		if filtered {
-			l.fv.states = states
-			l.fv.filter = l.peerFilter
-			pv = l.filteredFn
-			direct = nil // mediated reads: protocols must go through Peer
-		}
-		for _, id := range active {
-			if filtered {
-				l.fv.viewer = id
-			}
-			//lint:ignore noalloc generic fallback for protocols without batch kernels; the kernel path above is the allocation-free one
-			next, m := l.p.Move(core.View[S]{
-				ID:    id,
-				Self:  states[id],
-				Nbrs:  l.csr.Neighbors(id),
-				Peer:  pv,
-				Peers: direct,
-			})
-			l.next[id] = next
-			l.movedBuf[id] = m
-		}
-	}
-	// Install phase: commit every evaluated node at once (the loop above
-	// read only pre-round states), then build the next round's frontier —
-	// movers re-evaluate, and a changed state re-dirties the nodes whose
-	// view contains it: the whole closed neighborhood on the generic path,
-	// or only the protocol's true read dependents when it provides an
-	// installer. Both are sound supersets, so outputs are byte-identical.
-	var moved int
-	if l.installer != nil {
-		moved = l.installer.InstallBatch(active, l.csr, states, l.next, l.movedBuf, l.frontier)
-	} else {
-		offs, nbrs := l.csr.Rows()
-		for _, id := range active {
-			nx := l.next[id]
-			if l.movedBuf[id] {
-				moved++
-				l.frontier.Add(id)
-			}
-			if nx != states[id] {
-				states[id] = nx
-				l.frontier.Add(id)
-				for _, w := range nbrs[offs[id]:offs[id+1]] {
-					l.frontier.Add(w)
-				}
-			}
-		}
-	}
-	if moved > 0 {
-		l.rounds++
-		l.moves += moved
-	}
-	return moved
 }
 
 // Run implements Instance.
@@ -384,11 +329,7 @@ func (l *Lockstep[S]) runLoop(ctx context.Context, maxRounds int, redirty, probe
 	// execution quiesces — which is where the paper's own convergence
 	// analysis says nearly all the full-scan work is wasted.
 	if redirty {
-		if l.sh != nil {
-			l.sh.addAll()
-		} else {
-			l.frontier.AddAll()
-		}
+		l.addAll()
 	}
 	done := ctx.Done()
 	start := l.rounds

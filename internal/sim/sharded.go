@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"selfstab/internal/core"
@@ -9,28 +8,27 @@ import (
 )
 
 // defaultShards, when set above 1, makes every frontier-engine Lockstep
-// built by this package (including the fault adapters) run sharded with
-// that many shards. It is the sharded analog of referenceScan: the
+// built by this package (including the fault adapters) run with that
+// many shards. It is the sharded analog of referenceScan: the
 // metamorphic equivalence tests flip it to replay whole experiment
-// tables and soak campaigns through the sharded engine and demand
-// byte-identical output. Production code constructs sharded executors
-// explicitly via NewShardedLockstep.
+// tables and soak campaigns at K > 1 and demand byte-identical output.
+// Production code picks a shard count explicitly via NewShardedLockstep.
 var defaultShards atomic.Int32
 
 // SetShards sets the shard count for executors constructed afterwards
-// (already-built executors keep their engine); k <= 1 restores the
-// unsharded default. Tests must not toggle it while executors are being
-// constructed concurrently.
+// (already-built executors keep their count); k <= 1 restores the
+// single-shard default. Tests must not toggle it while executors are
+// being constructed concurrently.
 func SetShards(k int) { defaultShards.Store(int32(k)) }
 
 // shardParallelMin is the round-size threshold (drained active nodes,
-// estimated from the previous round) below which the sharded executor
-// runs its phases inline on the coordinator goroutine instead of
-// dispatching to the worker pool. Small or quiescing executions — unit
-// tests, the tail of a convergence run — stay free of goroutine and
-// channel traffic; the pool is spawned lazily the first time a round
-// clears the threshold. It is a variable so the equivalence tests can
-// lower it and drive the pooled path under the race detector.
+// estimated from the previous round) below which the engine runs its
+// phases inline on the coordinator goroutine instead of dispatching to
+// the worker pool. Small or quiescing executions — unit tests, the tail
+// of a convergence run — stay free of goroutine and channel traffic;
+// the pool is spawned lazily the first time a round clears the
+// threshold. It is a variable so the equivalence tests can lower it and
+// drive the pooled path under the race detector.
 var shardParallelMin = 4096
 
 // shardReq is one unit of pool work: run one phase for one shard.
@@ -39,9 +37,9 @@ type shardReq struct {
 	shard int
 }
 
-// Phases of a sharded round, in order. Each runs for every shard with a
-// barrier in between, so a phase never observes another shard's partial
-// work from the same phase.
+// Phases of a round, in order. Each runs for every shard with a barrier
+// in between, so a phase never observes another shard's partial work
+// from the same phase.
 const (
 	phaseEval   = iota // drain own range, evaluate into next/moved
 	phaseCommit        // install own range's results into states
@@ -49,10 +47,9 @@ const (
 	phaseAbsorb        // pull marks other shards left in our range
 )
 
-// shardRT is the sharded engine state hanging off a Lockstep. The
-// executor keeps Lockstep's observable behavior — byte-identical
-// Results, rounds, moves, states — while splitting every round into the
-// four phases above across K contiguous node ranges:
+// shard is one contiguous node range of the round and everything its
+// phases write. Step splits every round into the four phases above
+// across the shards:
 //
 //   - Eval reads only the frozen pre-round state vector and writes
 //     next/moved at owned indices — disjoint across shards.
@@ -64,172 +61,100 @@ const (
 //     writes land in disjoint ranges across shards, so the merge is
 //     race-free and, being commutative flag ORs, order-independent.
 //
-// Byte-identity with the reference engine follows from the same
-// argument as the frontier engine's (DESIGN.md §7b): each shard's
-// frontier, after absorb, covers every node in its range whose view
-// changed, so the union drained next round is a sound superset of the
-// privileged set, and evaluating a non-privileged node is a no-op that
-// consumes no randomness.
-type shardRT[S comparable] struct {
-	k    int
-	part *graph.Partition
-	// fronts[s] is shard s's full-length frontier. Shard s drains only
+// Byte-identity with the reference engine follows from the frontier
+// argument (DESIGN.md §7b): each shard's frontier, after absorb, covers
+// every node in its range whose view changed, so the union drained next
+// round is a sound superset of the privileged set, and evaluating a
+// non-privileged node is a no-op that consumes no randomness. With one
+// shard the absorb phase has nothing to do.
+type shard[S comparable] struct {
+	// front is the shard's full-length frontier. The shard drains only
 	// its own range from it; marks it writes outside that range land in
 	// its halo and are pulled over by the owners during absorb. Shard
-	// frontiers never use the "full" state — fullRound below replaces it
-	// so no per-range scan ever has to expand an implicit full set.
-	fronts []*graph.Frontier
-	bufs   [][]graph.NodeID // per-shard drain buffers, cap = range size
-	chg    [][]bool         // generic-path change flags, parallel to bufs[s]; nil with a kernel
-	mv     []int            // per-shard move count of the round in flight
-	chgAny []bool           // per-shard "some state changed" of the round in flight
+	// frontiers never use the "full" state — Lockstep.fullRound replaces
+	// it so no per-range scan ever has to expand an implicit full set.
+	front  graph.Frontier
+	ids    []graph.NodeID // drain buffer, cap = range size
+	chg    []bool         // generic-path change flags, parallel to ids; nil with a kernel
+	mv     int            // move count of the round in flight
+	chgAny bool           // some state changed in the round in flight
 
-	fullRound  bool // next round evaluates everyone (Run entry, topology resync)
-	roundFull  bool // the round in flight is a full round
-	parallel   bool // the round in flight uses the worker pool
-	lastActive int  // drained size of the previous round, the pool heuristic
-
-	// skern, when the protocol provides one, is the barrier-split
-	// install fast path; nil falls back to the generic commit+mark with
-	// closed-neighborhood marking, exactly as Lockstep's generic install.
-	skern core.ShardKernel[S]
-
-	// fvs/filtFns are per-shard filtered peer readers (one filteredViewer
-	// per shard so concurrent shards can each re-target their own viewer).
-	fvs     []filteredViewer[S]
-	filtFns []func(graph.NodeID) S
-
-	workCh  chan shardReq
-	wg      sync.WaitGroup
-	started bool
-	closed  bool
+	// fv/filtFn are the shard's filtered peer reader (one per shard so
+	// concurrent shards each re-target their own viewer), bound by
+	// filterPeers.
+	fv     filteredViewer[S]
+	filtFn func(graph.NodeID) S
 }
 
-// NewShardedLockstep wraps protocol p over configuration cfg with the
-// sharded frontier engine at the given shard count. Semantics are those
-// of NewLockstep — same Results, same state evolution, byte for byte —
-// with rounds executed shard-parallel once they are large enough to pay
-// for dispatch. shards <= 1 (after clamping to the node count) yields a
-// plain frontier engine. Call Close when done to release the worker
-// pool (a pool is only spawned once a round exceeds an internal size
-// threshold, so small executions hold no goroutines).
-func NewShardedLockstep[S comparable](p core.Protocol[S], cfg core.Config[S], shards int) *Lockstep[S] {
-	l := NewLockstep(p, cfg)
-	l.sh = nil
-	l.attachShards(shards)
-	return l
-}
-
-// attachShards switches l to the sharded engine with k shards (clamped
-// to the node count; k <= 1 after clamping leaves l unsharded).
-func (l *Lockstep[S]) attachShards(k int) {
-	n := len(l.cfg.States)
-	if k > n {
-		k = n
-	}
-	if k <= 1 {
-		return
-	}
-	l.csr = l.cfg.G.Snapshot()
-	rt := &shardRT[S]{
-		k:         k,
-		part:      graph.NewPartition(l.csr, k),
-		fronts:    make([]*graph.Frontier, k),
-		bufs:      make([][]graph.NodeID, k),
-		mv:        make([]int, k),
-		chgAny:    make([]bool, k),
-		fullRound: true,
-	}
-	rt.skern, _ = l.p.(core.ShardKernel[S])
-	if rt.skern == nil {
-		rt.chg = make([][]bool, k)
-	}
-	for s := 0; s < k; s++ {
-		lo, hi := rt.part.Range(s)
-		rt.fronts[s] = graph.NewFrontier(n)
-		rt.fronts[s].Reset()
-		rt.bufs[s] = make([]graph.NodeID, 0, hi-lo)
-		if rt.skern == nil {
-			rt.chg[s] = make([]bool, hi-lo)
-		}
-	}
-	rt.fvs = make([]filteredViewer[S], k)
-	rt.filtFns = make([]func(graph.NodeID) S, k)
-	for s := 0; s < k; s++ {
-		rt.filtFns[s] = rt.fvs[s].read
-	}
-	l.sh = rt
-}
-
-// Close releases the sharded worker pool, if one was spawned. It is a
-// no-op on unsharded executors and safe to call more than once.
+// Close releases the worker pool, if one was spawned. It is a no-op on
+// single-shard engines and safe to call more than once.
 func (l *Lockstep[S]) Close() {
-	if l.sh != nil {
-		l.sh.close()
+	if l.workCh != nil {
+		close(l.workCh)
+		l.workCh = nil
 	}
-}
-
-// mark routes an externally attributed dirty mark to the owning shard.
-//
-//selfstab:noalloc
-func (rt *shardRT[S]) mark(v graph.NodeID) {
-	rt.fronts[rt.part.Owner(v)].Add(v)
 }
 
 // addAll schedules a full round: every node of every shard evaluates.
 // Pending per-shard marks are discharged — the full round subsumes them.
 //
 //selfstab:noalloc
-func (rt *shardRT[S]) addAll() {
-	for _, f := range rt.fronts {
-		f.Reset()
+func (l *Lockstep[S]) addAll() {
+	for s := range l.shards {
+		l.shards[s].front.Reset()
 	}
-	rt.fullRound = true
+	l.fullRound = true
 }
 
-// stepSharded is Step for the sharded engine: the same round shape as
-// Lockstep.Step, with the evaluate and install halves split into
-// barrier-separated shard phases.
+// Step implements Instance: every frontier node evaluates its rules
+// against the current configuration and all resulting states are
+// installed at once, as four barrier-separated shard phases. Non-frontier
+// nodes are provably no-ops (their view is unchanged since they last
+// evaluated inactive), so the returned move count equals the full
+// scan's; the reference engine makes every round a full round. Steady-
+// state rounds allocate nothing (pinned by noalloc and the bench gate);
+// the suppressed cold paths run only on topology resync, on the first
+// pooled round, or for protocols without batch kernels.
 //
 //selfstab:noalloc
-func (l *Lockstep[S]) stepSharded() int {
-	rt := l.sh
+func (l *Lockstep[S]) Step() int {
 	if !l.csr.Fresh(l.cfg.G) {
-		// Unattributed topology change: re-snapshot, rebuild the halo
-		// index (ranges depend only on (n, k) and stay put), re-dirty
-		// everyone — exactly Lockstep's self-detection response.
+		// Unattributed topology change (mobility churn, a test editing the
+		// graph): re-snapshot, rebuild the halo index (ranges depend only
+		// on (n, K) and stay put), re-evaluate everyone.
 		//lint:ignore noalloc cold resync path, runs only when the topology version moved
 		l.csr = l.cfg.G.Snapshot()
 		//lint:ignore noalloc cold resync path, partition rebuild only on topology change
-		rt.part = graph.NewPartition(l.csr, rt.k)
-		rt.addAll()
+		l.part = graph.NewPartition(l.csr, len(l.shards))
+		l.addAll()
 	}
-	rt.roundFull = rt.fullRound
-	rt.fullRound = false
-	est := rt.lastActive
-	if rt.roundFull {
+	l.roundFull = l.fullRound || l.fullScan
+	l.fullRound = false
+	est := l.lastActive
+	if l.roundFull {
 		est = len(l.cfg.States)
 	}
-	rt.parallel = est >= shardParallelMin
+	// A pool pays only when there is more than one shard to hand out.
+	l.parallel = len(l.shards) > 1 && est >= shardParallelMin
 
-	rt.runAll(l, phaseEval)
+	l.runAll(phaseEval)
 	active := 0
-	for s := 0; s < rt.k; s++ {
-		active += len(rt.bufs[s])
+	for s := range l.shards {
+		active += len(l.shards[s].ids)
 	}
-	rt.lastActive = active
+	l.lastActive = active
 
-	rt.runAll(l, phaseCommit)
+	l.runAll(phaseCommit)
 	moved, anyChg := 0, false
-	for s := 0; s < rt.k; s++ {
-		moved += rt.mv[s]
-		anyChg = anyChg || rt.chgAny[s]
+	for s := range l.shards {
+		moved += l.shards[s].mv
+		anyChg = anyChg || l.shards[s].chgAny
 	}
 	// Quiet rounds skip the install half entirely: nothing moved and
 	// nothing changed, so there are no marks to derive or exchange.
 	if moved > 0 || anyChg {
-		rt.runAll(l, phaseMark)
-		rt.runAll(l, phaseAbsorb)
+		l.runAll(phaseMark)
+		l.runAll(phaseAbsorb)
 	}
 	if moved > 0 {
 		l.rounds++
@@ -245,63 +170,55 @@ func (l *Lockstep[S]) stepSharded() int {
 // absorb phase see every shard's finished marks.
 //
 //selfstab:noalloc
-func (rt *shardRT[S]) runAll(l *Lockstep[S], phase int) {
-	if !rt.parallel {
-		for s := 0; s < rt.k; s++ {
-			rt.runPhase(l, phase, s)
+func (l *Lockstep[S]) runAll(phase int) {
+	if !l.parallel {
+		for s := range l.shards {
+			l.runPhase(phase, s)
 		}
 		return
 	}
-	//lint:ignore noalloc one-time lazy pool spawn, amortized over the run
-	rt.ensurePool(l)
-	rt.wg.Add(rt.k)
-	for s := 0; s < rt.k; s++ {
-		rt.workCh <- shardReq{phase: phase, shard: s}
+	if l.workCh == nil {
+		//lint:ignore noalloc one-time lazy pool spawn, amortized over the run
+		l.spawnPool()
 	}
-	rt.wg.Wait()
+	l.wg.Add(len(l.shards))
+	for s := range l.shards {
+		l.workCh <- shardReq{phase: phase, shard: s}
+	}
+	l.wg.Wait()
 }
 
-// ensurePool spawns the K persistent workers on first parallel use.
-func (rt *shardRT[S]) ensurePool(l *Lockstep[S]) {
-	if rt.started {
-		return
-	}
-	rt.started = true
-	rt.workCh = make(chan shardReq)
-	for i := 0; i < rt.k; i++ {
-		go shardWorker(l)
-	}
-}
-
-func shardWorker[S comparable](l *Lockstep[S]) {
-	rt := l.sh
-	for req := range rt.workCh {
-		rt.runPhase(l, req.phase, req.shard)
-		rt.wg.Done()
+// spawnPool starts one persistent worker per shard on first parallel use.
+func (l *Lockstep[S]) spawnPool() {
+	l.workCh = make(chan shardReq)
+	for range l.shards {
+		go l.worker(l.workCh)
 	}
 }
 
-func (rt *shardRT[S]) close() {
-	if rt.started && !rt.closed {
-		rt.closed = true
-		close(rt.workCh)
+// worker takes its channel as an argument rather than reading l.workCh,
+// which Close clears.
+func (l *Lockstep[S]) worker(work <-chan shardReq) {
+	for req := range work {
+		l.runPhase(req.phase, req.shard)
+		l.wg.Done()
 	}
 }
 
-// runPhase executes one phase for shard s. See shardRT for the per-phase
+// runPhase executes one phase for shard s. See shard for the per-phase
 // read/write footprints that make concurrent execution race-free.
 //
 //selfstab:noalloc
-func (rt *shardRT[S]) runPhase(l *Lockstep[S], phase, s int) {
+func (l *Lockstep[S]) runPhase(phase, s int) {
 	switch phase {
 	case phaseEval:
-		rt.evalShard(l, s)
+		l.evalShard(s)
 	case phaseCommit:
-		rt.commitShard(l, s)
+		l.commitShard(s)
 	case phaseMark:
-		rt.markShard(l, s)
+		l.markShard(s)
 	case phaseAbsorb:
-		rt.absorbShard(s)
+		l.absorbShard(s)
 	default:
 		panic("sim: unknown shard phase")
 	}
@@ -311,42 +228,35 @@ func (rt *shardRT[S]) runPhase(l *Lockstep[S], phase, s int) {
 // against the frozen pre-round state vector.
 //
 //selfstab:noalloc
-func (rt *shardRT[S]) evalShard(l *Lockstep[S], s int) {
-	lo, hi := rt.part.Range(s)
-	var ids []graph.NodeID
-	if rt.roundFull {
-		ids = rt.bufs[s][:0]
+func (l *Lockstep[S]) evalShard(s int) {
+	sh := &l.shards[s]
+	lo, hi := l.part.Range(s)
+	if l.roundFull {
+		ids := sh.ids[:0]
 		for v := lo; v < hi; v++ {
-			//lint:ignore noalloc bufs[s] is pre-sized to the range, so append never grows
+			//lint:ignore noalloc ids is pre-sized to the range, so append never grows
 			ids = append(ids, v)
 		}
+		sh.ids = ids
 		// Discharge stray marks routed in since the full round was
 		// scheduled — the full evaluation subsumes them.
-		rt.fronts[s].Reset()
+		sh.front.Reset()
 	} else {
-		ids = rt.fronts[s].DrainRange(rt.bufs[s], int(lo), int(hi))
+		sh.ids = sh.front.DrainRange(sh.ids, int(lo), int(hi))
 	}
-	rt.bufs[s] = ids
 
-	states := l.cfg.States
+	ids, states := sh.ids, l.cfg.States
 	filtered := l.peerFilter != nil
 	if l.batch != nil && !filtered {
-		l.batch.MoveBatch(ids, l.csr, states, l.next, l.movedBuf)
+		l.batch.MoveBatch(ids, l.csr, states, l.next, l.moved)
 		return
 	}
-	pv := l.peerFn
-	direct := states
-	fv := &rt.fvs[s]
+	pv, direct := l.peerFn, states
 	if filtered {
-		fv.states = states
-		fv.filter = l.peerFilter
-		pv = rt.filtFns[s]
-		direct = nil // mediated reads: protocols must go through Peer
+		pv, direct = sh.filtFn, nil // mediated reads: protocols must go through Peer
 	}
 	for _, id := range ids {
-		if filtered {
-			fv.viewer = id
-		}
+		sh.fv.viewer = id // read only by the filtered reader
 		//lint:ignore noalloc generic fallback for protocols without batch kernels; the kernel path above is the allocation-free one
 		next, m := l.p.Move(core.View[S]{
 			ID:    id,
@@ -356,7 +266,7 @@ func (rt *shardRT[S]) evalShard(l *Lockstep[S], s int) {
 			Peers: direct,
 		})
 		l.next[id] = next
-		l.movedBuf[id] = m
+		l.moved[id] = m
 	}
 }
 
@@ -364,52 +274,50 @@ func (rt *shardRT[S]) evalShard(l *Lockstep[S], s int) {
 // writes land only at owned indices.
 //
 //selfstab:noalloc
-func (rt *shardRT[S]) commitShard(l *Lockstep[S], s int) {
-	ids := rt.bufs[s]
+func (l *Lockstep[S]) commitShard(s int) {
+	sh := &l.shards[s]
 	states := l.cfg.States
-	if rt.skern != nil {
-		rt.mv[s] = rt.skern.CommitBatch(ids, states, l.next, l.movedBuf)
-		rt.chgAny[s] = rt.mv[s] > 0
+	if l.skern != nil {
+		sh.mv = l.skern.CommitBatch(sh.ids, states, l.next, l.moved)
+		sh.chgAny = sh.mv > 0
 		return
 	}
-	chg := rt.chg[s]
 	mv, any := 0, false
-	for i, id := range ids {
+	for i, id := range sh.ids {
 		nx := l.next[id]
 		c := nx != states[id]
-		chg[i] = c
+		sh.chg[i] = c
 		if c {
 			states[id] = nx
 			any = true
 		}
-		if l.movedBuf[id] {
+		if l.moved[id] {
 			mv++
 		}
 	}
-	rt.mv[s], rt.chgAny[s] = mv, any
+	sh.mv, sh.chgAny = mv, any
 }
 
 // markShard derives shard s's re-evaluation marks from the fully
 // committed post-round states, writing only its own frontier. The
-// generic path mirrors Lockstep's generic install marking exactly: it
-// reads no neighbor states, only structure, so the commit/mark split
-// cannot change which nodes it marks.
+// generic path marks movers plus the closed neighborhood of every
+// changed node: it reads no neighbor states, only structure, so the
+// commit/mark split cannot change which nodes it marks.
 //
 //selfstab:noalloc
-func (rt *shardRT[S]) markShard(l *Lockstep[S], s int) {
-	ids := rt.bufs[s]
-	f := rt.fronts[s]
-	if rt.skern != nil {
-		rt.skern.MarkBatch(ids, l.csr, l.cfg.States, l.movedBuf, f)
+func (l *Lockstep[S]) markShard(s int) {
+	sh := &l.shards[s]
+	f := &sh.front
+	if l.skern != nil {
+		l.skern.MarkBatch(sh.ids, l.csr, l.cfg.States, l.moved, f)
 		return
 	}
 	offs, nbrs := l.csr.Rows()
-	chg := rt.chg[s]
-	for i, id := range ids {
-		if l.movedBuf[id] {
+	for i, id := range sh.ids {
+		if l.moved[id] {
 			f.Add(id)
 		}
-		if chg[i] {
+		if sh.chg[i] {
 			f.Add(id)
 			for _, w := range nbrs[offs[id]:offs[id+1]] {
 				f.Add(w)
@@ -424,15 +332,15 @@ func (rt *shardRT[S]) markShard(l *Lockstep[S], s int) {
 // drained set — the ascending order is just a fixed convention.
 //
 //selfstab:noalloc
-func (rt *shardRT[S]) absorbShard(s int) {
-	mine := rt.fronts[s]
-	for t := 0; t < rt.k; t++ {
+func (l *Lockstep[S]) absorbShard(s int) {
+	mine := &l.shards[s].front
+	for t := range l.shards {
 		if t == s {
 			continue
 		}
-		alo, ahi := rt.part.AbsorbSpan(t, s)
+		alo, ahi := l.part.AbsorbSpan(t, s)
 		if alo < ahi {
-			mine.Absorb(rt.fronts[t], int(alo), int(ahi))
+			mine.Absorb(&l.shards[t].front, int(alo), int(ahi))
 		}
 	}
 }

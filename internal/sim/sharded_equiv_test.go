@@ -9,6 +9,7 @@ import (
 	"selfstab/internal/faults"
 	"selfstab/internal/graph"
 	"selfstab/internal/protocols"
+	"selfstab/internal/verify"
 )
 
 // This file is the sharded-vs-reference metamorphic suite: the sharded
@@ -52,7 +53,7 @@ func TestShardedMatchesReferenceSMI(t *testing.T) {
 // The opaque wrapper hides the ShardKernel (and every other fast-path
 // interface), forcing the sharded engine onto its generic commit+mark
 // split with closed-neighborhood marking — which must agree with the
-// reference's interleaved generic install.
+// reference's full scan.
 func TestShardedGenericPathMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 12; trial++ {
@@ -88,7 +89,7 @@ func TestShardedMatchesReferenceRandMIS(t *testing.T) {
 
 // Refined(SMM) changes aux state with moved == false, so the sharded
 // generic path's change flags (not the moved flags) must drive its
-// marking, exactly as in the unsharded engine.
+// marking at every shard count.
 func TestShardedMatchesReferenceRefined(t *testing.T) {
 	rng := rand.New(rand.NewSource(204))
 	for trial := 0; trial < 8; trial++ {
@@ -108,7 +109,8 @@ func TestShardedMatchesReferenceRefined(t *testing.T) {
 // The pooled dispatch path — real worker goroutines, channel barriers —
 // must be byte-identical too. shardParallelMin is lowered so even these
 // small graphs cross the threshold; under -race this doubles as the
-// data-race proof for the four-phase footprint argument.
+// data-race proof for the four-phase footprint argument. A single shard
+// must still never spawn a pool, however large its rounds.
 func TestShardedPooledPathMatchesReference(t *testing.T) {
 	old := shardParallelMin
 	shardParallelMin = 1
@@ -122,13 +124,49 @@ func TestShardedPooledPathMatchesReference(t *testing.T) {
 			sh := NewShardedLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), g, seed), k)
 			ref := NewReferenceLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), g, seed))
 			stepCompare(t, "pooled sharded SMM", sh, ref, g.N()+4)
+			if k == 1 && sh.workCh != nil {
+				t.Fatal("single-shard engine spawned a worker pool")
+			}
 			sh.Close()
 
 			shi := NewShardedLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed), k)
 			refi := NewReferenceLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed))
 			stepCompare(t, "pooled sharded SMI", shi, refi, g.N()+4)
 			shi.Close()
+
+			// RandMIS takes the generic Move path, so concurrent shards
+			// draw from its per-node generators at once.
+			ps := protocols.NewRandMIS(g.N(), seed)
+			pr := protocols.NewRandMIS(g.N(), seed)
+			shr := NewShardedLockstep[bool](ps, equivCfg[bool](ps, g, seed), k)
+			refr := NewReferenceLockstep[bool](pr, equivCfg[bool](pr, g, seed))
+			stepCompare(t, "pooled sharded RandMIS", shr, refr, 6*g.N()+10)
+			shr.Close()
 		}
+	}
+}
+
+// RandMIS uses per-node generators; running it on 8 pooled shard workers
+// under -race validates the concurrency contract end to end, and the
+// fixed point it reaches must still verify as a maximal independent set.
+func TestParallelRandomizedProtocolRaceFree(t *testing.T) {
+	old := shardParallelMin
+	shardParallelMin = 1
+	defer func() { shardParallelMin = old }()
+
+	rng := rand.New(rand.NewSource(11))
+	g := graph.RandomConnected(30, 0.12, rng)
+	p := protocols.NewRandMIS(g.N(), 77)
+	cfg := core.NewConfig[bool](g)
+	cfg.Randomize(p, rng)
+	l := NewShardedLockstep[bool](p, cfg, 8)
+	defer l.Close()
+	res := l.Run(2000)
+	if !res.Stable {
+		t.Fatalf("%v", res)
+	}
+	if err := verify.IsMaximalIndependentSet(g, core.SetOf(cfg)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -194,7 +232,7 @@ func TestShardedFaultScheduleMatchesReference(t *testing.T) {
 
 // Direct topology and state edits between Run calls must be absorbed by
 // the version self-detection (which also rebuilds the halo index) and
-// the Run-entry re-dirty, exactly as on the unsharded engine.
+// the Run-entry re-dirty at every shard count.
 func TestShardedSurvivesExternalMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(208))
 	for trial := 0; trial < 8; trial++ {
@@ -260,52 +298,100 @@ func TestSetShardsSeam(t *testing.T) {
 	SetShards(4)
 	defer SetShards(1)
 	l := NewLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, 1))
-	if l.sh == nil || l.sh.k != 4 {
-		t.Fatalf("seam did not shard the frontier engine: %+v", l.sh)
+	if len(l.shards) != 4 {
+		t.Fatalf("seam did not shard the frontier engine: %d shards", len(l.shards))
 	}
 	ref := NewReferenceLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, 1))
-	if ref.sh != nil {
+	if len(ref.shards) != 1 {
 		t.Fatal("seam sharded the reference engine")
 	}
 	ft := NewFaultLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, 1))
-	if ft.l.sh == nil {
+	if len(ft.l.shards) != 4 {
 		t.Fatal("seam did not shard the fault adapter")
 	}
+	// The reference fault adapter stays a full scan under the seam: every
+	// round evaluates all n nodes, stable or not.
+	calls := 0
+	rf := NewReferenceFaultLockstep[bool](countMoves[bool]{core.NewSMI(), &calls}, equivCfg[bool](core.NewSMI(), g, 1))
+	for r := 0; r < 5; r++ {
+		calls = 0
+		rf.Step()
+		if calls != g.N() {
+			t.Fatalf("round %d: reference fault adapter evaluated %d of %d nodes", r, calls, g.N())
+		}
+	}
 	// Clamping: more shards than nodes collapses to the node count, and a
-	// tiny graph refuses to shard at all rather than run empty ranges.
+	// single-node graph runs one shard rather than an empty range.
 	tiny := NewShardedLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), graph.Path(3), 1), 8)
-	if tiny.sh == nil || tiny.sh.k != 3 {
-		t.Fatalf("shard clamp to node count failed: %+v", tiny.sh)
+	if len(tiny.shards) != 3 {
+		t.Fatalf("shard clamp to node count failed: %d shards", len(tiny.shards))
 	}
 	one := NewShardedLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), graph.Path(1), 1), 8)
-	if one.sh != nil {
-		t.Fatal("single-node graph should not shard")
+	if len(one.shards) != 1 {
+		t.Fatalf("single-node graph should run one shard, got %d", len(one.shards))
 	}
 }
 
-// Steady-state rounds of a sharded executor must allocate nothing: the
+// countMoves counts Move calls; like opaque it hides every fast path.
+type countMoves[S comparable] struct {
+	p     core.Protocol[S]
+	calls *int
+}
+
+func (c countMoves[S]) Name() string { return c.p.Name() }
+func (c countMoves[S]) Random(id graph.NodeID, nbrs []graph.NodeID, rng *rand.Rand) S {
+	return c.p.Random(id, nbrs, rng)
+}
+func (c countMoves[S]) Move(v core.View[S]) (S, bool) {
+	*c.calls++
+	return c.p.Move(v)
+}
+
+// Steady-state rounds must allocate nothing at any shard count: the
 // zero-allocation property the million-node benchmarks depend on, pinned
 // here so it cannot regress silently. Both quiet rounds and active
 // fault-recovery rounds are measured after the buffers have warmed up.
 func TestShardedStepZeroAllocSteadyState(t *testing.T) {
 	g := graph.RandomConnected(256, 0.03, rand.New(rand.NewSource(42)))
-	p := core.NewSMM()
-	cfg := equivCfg[core.Pointer](p, g, 42)
-	l := NewShardedLockstep[core.Pointer](p, cfg, 4)
-	defer l.Close()
-	if res := l.Run(g.N() + 2); !res.Stable {
-		t.Fatalf("did not stabilize: %v", res)
-	}
-	if avg := testing.AllocsPerRun(50, func() { l.Step() }); avg != 0 {
-		t.Fatalf("quiet sharded round allocates: %v allocs/op", avg)
-	}
-	victim := graph.NodeID(17)
-	if avg := testing.AllocsPerRun(50, func() {
-		cfg.States[victim] = core.Null
-		l.DirtyState(victim)
-		for l.Step() > 0 {
+	for _, k := range []int{1, 4} {
+		p := core.NewSMM()
+		cfg := equivCfg[core.Pointer](p, g, 42)
+		l := NewShardedLockstep[core.Pointer](p, cfg, k)
+		if res := l.Run(g.N() + 2); !res.Stable {
+			t.Fatalf("shards=%d: did not stabilize: %v", k, res)
 		}
-	}); avg != 0 {
-		t.Fatalf("active sharded recovery allocates: %v allocs/op", avg)
+		if avg := testing.AllocsPerRun(50, func() { l.Step() }); avg != 0 {
+			t.Fatalf("shards=%d: quiet round allocates: %v allocs/op", k, avg)
+		}
+		victim := graph.NodeID(17)
+		if avg := testing.AllocsPerRun(50, func() {
+			cfg.States[victim] = core.Null
+			l.DirtyState(victim)
+			for l.Step() > 0 {
+			}
+		}); avg != 0 {
+			t.Fatalf("shards=%d: active recovery allocates: %v allocs/op", k, avg)
+		}
+		l.Close()
+	}
+}
+
+// Building the default engine and converging it must fit the allocation
+// budget the BenchmarkLarge_* gate holds it to: the engine, next, moved,
+// the shard slice, one frontier, one drain buffer, and a one-shard
+// partition (struct and starts) — eight in all.
+func TestLockstepConstructAndRunAllocBudget(t *testing.T) {
+	g := graph.RandomConnected(1024, 8.0/1024, rand.New(rand.NewSource(42)))
+	p := core.NewSMI()
+	cfg := equivCfg[bool](p, g, 1)
+	start := append([]bool(nil), cfg.States...)
+	avg := testing.AllocsPerRun(10, func() {
+		copy(cfg.States, start)
+		if res := NewLockstep[bool](p, cfg).Run(g.N() + 2); !res.Stable {
+			t.Fatalf("did not stabilize: %v", res)
+		}
+	})
+	if avg > 8 {
+		t.Fatalf("NewLockstep + Run allocates %v times, budget 8", avg)
 	}
 }

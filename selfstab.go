@@ -176,16 +176,6 @@ func NewLockstep[S comparable](p Protocol[S], cfg Config[S]) *Lockstep[S] {
 	return sim.NewLockstep[S](p, cfg)
 }
 
-// ParallelLockstep is the data-parallel lockstep executor: identical
-// semantics to Lockstep, rounds evaluated across a worker pool.
-type ParallelLockstep[S comparable] = sim.Parallel[S]
-
-// NewParallelLockstep wraps a protocol with the given worker count
-// (<= 0 selects GOMAXPROCS).
-func NewParallelLockstep[S comparable](p Protocol[S], cfg Config[S], workers int) *ParallelLockstep[S] {
-	return sim.NewParallel[S](p, cfg, workers)
-}
-
 // StaleLockstep executes with bounded-staleness views (see
 // sim.StaleLockstep) — the E12 robustness probe.
 type StaleLockstep[S comparable] = sim.StaleLockstep[S]
