@@ -1,6 +1,7 @@
 # Standard developer workflow for the selfstab reproduction.
 
 GO ?= go
+GOFMT ?= gofmt
 
 # Pinned external lint tools, installed by `make tools` (network
 # required; local runs without them skip gracefully — see `lint`).
@@ -40,8 +41,14 @@ all: build vet lint test race
 build:
 	$(GO) build ./...
 
+# vet also fails when gofmt would change any tracked Go file of this
+# module (bench/ is a module of its own, vetted by hand).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files -z -- '*.go' ':!bench' | xargs -0 -r $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then \
+		echo "vet: gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # lint runs the repo's custom determinism/concurrency analyzers
 # (detrand, mapiter, guarded, plus the dataflow tier: purity,
@@ -202,6 +209,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSMIMove -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzShardPartition -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzJournalRecover -fuzztime=30s ./internal/service/
+	$(GO) test -fuzz=FuzzSMMChecker -fuzztime=30s ./internal/faults/
 
 clean:
 	$(GO) clean ./...

@@ -18,6 +18,7 @@ import (
 	"selfstab/internal/beacon"
 	"selfstab/internal/core"
 	"selfstab/internal/daemon"
+	"selfstab/internal/faults"
 	"selfstab/internal/graph"
 	"selfstab/internal/harness"
 	"selfstab/internal/modelcheck"
@@ -498,6 +499,25 @@ func BenchmarkLarge_SMMDisk4096(b *testing.B)   { benchLargeSMM(b, largeDisk(409
 func BenchmarkLarge_SMISparse1024(b *testing.B) { benchLargeSMI(b, largeSparse(1024)) }
 func BenchmarkLarge_SMISparse4096(b *testing.B) { benchLargeSMI(b, largeSparse(4096)) }
 func BenchmarkLarge_SMIDisk1024(b *testing.B)   { benchLargeSMI(b, largeDisk(1024)) }
+
+// BenchmarkLarge_CheckSMMDisk4096 times the SMM legitimacy check the
+// service runs after every epoch, on a converged 4096-node unit-disk
+// configuration. It must not allocate: the pinned allocs/op gate holds
+// it at 0.
+func BenchmarkLarge_CheckSMMDisk4096(b *testing.B) {
+	g := largeDisk(4096)
+	cfg := benchSMMConfig(g, 1)
+	if res := sim.NewLockstep[core.Pointer](core.NewSMM(), cfg).Run(g.N() + 2); !res.Stable {
+		b.Fatal(res)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := faults.SMMChecker(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // The BenchmarkShard1M_* family is the sharded executor at deliverable
 // scale: one million nodes, sparse (expected degree 8) and unit-disk

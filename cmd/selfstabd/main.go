@@ -60,7 +60,6 @@ func run(args []string, out, errw io.Writer, sig <-chan os.Signal) int {
 	slice := fs.Int("slice", 0, "rounds per scheduling slice inside an epoch (0 = default)")
 	shards := fs.Int("shards", 0, "executor shards per tenant (0 or 1 = single-threaded)")
 	maxTenants := fs.Int("max-tenants", 0, "tenant cap (0 = default)")
-	commitInterval := fs.Duration("commit-interval", 0, "group-commit window a lone mutation may wait for batch-mates (0 = default 200µs, negative disables)")
 	segmentBytes := fs.Int64("segment-bytes", 0, "journal segment rotation threshold in bytes (0 = default 4MiB)")
 	fsyncEach := fs.Bool("fsync-each", false, "fsync every journal entry individually instead of group-committing batches")
 	chaos := fs.Bool("chaos", false, "enable the chaos_panic fault-injection op")
@@ -75,18 +74,17 @@ func run(args []string, out, errw io.Writer, sig <-chan os.Signal) int {
 	}
 
 	svc, err := service.Open(service.Options{
-		DataDir:        *data,
-		QueueDepth:     *queue,
-		RatePerSec:     *rate,
-		Burst:          *burst,
-		SnapshotEvery:  *snapEvery,
-		ConvergeSlice:  *slice,
-		Shards:         *shards,
-		MaxTenants:     *maxTenants,
-		CommitInterval: *commitInterval,
-		SegmentBytes:   *segmentBytes,
-		FsyncEach:      *fsyncEach,
-		EnableChaos:    *chaos,
+		DataDir:       *data,
+		QueueDepth:    *queue,
+		RatePerSec:    *rate,
+		Burst:         *burst,
+		SnapshotEvery: *snapEvery,
+		ConvergeSlice: *slice,
+		Shards:        *shards,
+		MaxTenants:    *maxTenants,
+		SegmentBytes:  *segmentBytes,
+		FsyncEach:     *fsyncEach,
+		EnableChaos:   *chaos,
 	})
 	if err != nil {
 		fmt.Fprintf(errw, "selfstabd: open service: %v\n", err)

@@ -82,7 +82,9 @@ type FnFact struct {
 // AFact marks FnFact as a lint fact.
 func (*FnFact) AFact() {}
 
-func (f *FnFact) pure() bool { return !(f.IO || f.WritesGlobals || f.MutatesRecv || f.MutatesParams || f.RetainsParams) }
+func (f *FnFact) pure() bool {
+	return !(f.IO || f.WritesGlobals || f.MutatesRecv || f.MutatesParams || f.RetainsParams)
+}
 
 // Taint classes: which caller-visible root a value or access path is
 // derived from.

@@ -43,7 +43,7 @@ func (g *Good) Move(v View) (State, bool) {
 			next.Level = p.Level
 		}
 	}
-	g.firings.Add(1)             // sync/atomic: sanctioned counter
+	g.firings.Add(1)               // sync/atomic: sanctioned counter
 	if g.rngs[v.ID].Intn(2) == 1 { // per-node threaded rng: sanctioned
 		next.Up = !next.Up
 	}
@@ -72,9 +72,9 @@ type BadRecv struct {
 }
 
 func (b *BadRecv) Move(v View) (State, bool) {
-	b.count++                   // want `mutates receiver state|writes receiver state`
-	b.cache[v.ID] = v.Self      // want `writes receiver state`
-	b.kept = v.Nbrs             // want `writes receiver state` `retaining it past the call`
+	b.count++              // want `mutates receiver state|writes receiver state`
+	b.cache[v.ID] = v.Self // want `writes receiver state`
+	b.kept = v.Nbrs        // want `writes receiver state` `retaining it past the call`
 	return v.Self, false
 }
 
@@ -84,10 +84,10 @@ func (b *BadRecv) Move(v View) (State, bool) {
 type BadView struct{}
 
 func (BadView) Move(v View) (State, bool) {
-	v.Nbrs[0] = 0               // want `writes the View`
+	v.Nbrs[0] = 0                                                            // want `writes the View`
 	sort.Slice(v.Nbrs, func(i, k int) bool { return v.Nbrs[i] < v.Nbrs[k] }) // want `passes the View to sort.Slice, which mutates its argument`
-	nbrs := v.Nbrs              // taint flows through the local alias
-	nbrs[0] = 1                 // want `writes the View`
+	nbrs := v.Nbrs                                                           // taint flows through the local alias
+	nbrs[0] = 1                                                              // want `writes the View`
 	return v.Self, false
 }
 
@@ -99,8 +99,8 @@ var hits int
 type BadGlobal struct{}
 
 func (BadGlobal) Move(v View) (State, bool) {
-	hits++                      // want `writes package-level state`
-	fmt.Println(v.ID)           // want `calls fmt.Println, which performs I/O`
+	hits++            // want `writes package-level state`
+	fmt.Println(v.ID) // want `calls fmt.Println, which performs I/O`
 	return v.Self, false
 }
 
@@ -112,8 +112,8 @@ type BadChan struct {
 }
 
 func (b *BadChan) Move(v View) (State, bool) {
-	b.updates <- v.Self         // want `sends on a channel`
-	go func() { hits = 1 }()    // want `starts a goroutine` `writes package-level state`
+	b.updates <- v.Self      // want `sends on a channel`
+	go func() { hits = 1 }() // want `starts a goroutine` `writes package-level state`
 	return v.Self, false
 }
 
@@ -132,7 +132,7 @@ func logged(s State) State {
 }
 
 func (b *BadHelper) Move(v View) (State, bool) {
-	b.bump()                    // want `calls BadHelper.bump, which mutates state reachable from receiver state`
+	b.bump()                     // want `calls BadHelper.bump, which mutates state reachable from receiver state`
 	return logged(v.Self), false // want `calls logged, which performs I/O`
 }
 

@@ -39,7 +39,7 @@ type Finding struct {
 // A Fragment is the findings of one compilation unit.
 type Fragment struct {
 	// ImportPath identifies the unit (also keys the fragment file name).
-	ImportPath string `json:"importPath"`
+	ImportPath string    `json:"importPath"`
 	Findings   []Finding `json:"findings"`
 }
 

@@ -344,18 +344,18 @@ type scriptTarget struct {
 	r      int
 }
 
-func (s *scriptTarget) Model() string                        { return "script" }
-func (s *scriptTarget) Topology() *graph.Graph               { return s.g }
-func (s *scriptTarget) Config() core.Config[bool]            { return core.Config[bool]{G: s.g, States: s.states} }
-func (s *scriptTarget) ReadState(v graph.NodeID) bool        { return s.states[v] }
-func (s *scriptTarget) WriteState(v graph.NodeID, b bool)    { s.states[v] = b }
-func (s *scriptTarget) SetLink(e graph.Edge, present bool)   {}
-func (s *scriptTarget) DropLink(e graph.Edge, rounds int)    {}
-func (s *scriptTarget) Freeze(v graph.NodeID, rounds int)    {}
-func (s *scriptTarget) Warmup() int                          { return 0 }
-func (s *scriptTarget) DetectionLag() int                    { return 0 }
-func (s *scriptTarget) QuietRounds() int                     { return 1 }
-func (s *scriptTarget) Close()                               {}
+func (s *scriptTarget) Model() string                      { return "script" }
+func (s *scriptTarget) Topology() *graph.Graph             { return s.g }
+func (s *scriptTarget) Config() core.Config[bool]          { return core.Config[bool]{G: s.g, States: s.states} }
+func (s *scriptTarget) ReadState(v graph.NodeID) bool      { return s.states[v] }
+func (s *scriptTarget) WriteState(v graph.NodeID, b bool)  { s.states[v] = b }
+func (s *scriptTarget) SetLink(e graph.Edge, present bool) {}
+func (s *scriptTarget) DropLink(e graph.Edge, rounds int)  {}
+func (s *scriptTarget) Freeze(v graph.NodeID, rounds int)  {}
+func (s *scriptTarget) Warmup() int                        { return 0 }
+func (s *scriptTarget) DetectionLag() int                  { return 0 }
+func (s *scriptTarget) QuietRounds() int                   { return 1 }
+func (s *scriptTarget) Close()                             {}
 func (s *scriptTarget) Step() int {
 	m := 0
 	if s.r < len(s.moves) {

@@ -125,7 +125,7 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 type Event struct {
 	// Round is the logical round (post-warmup Step count) at which the
 	// event is injected.
-	Round int `json:"round"`
+	Round int  `json:"round"`
 	Kind  Kind `json:"kind"`
 	// Nodes targets Crash, Corrupt and Stale, and names one side of a
 	// Partition.

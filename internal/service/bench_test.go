@@ -27,13 +27,12 @@ func benchMutations(b *testing.B, depth int, fsyncEach bool) {
 	}
 	meta := tenantMeta{ID: "bench", Protocol: ProtocolSMM, N: n, Seed: 1, Edges: edges}
 	tn, err := newTenant(context.Background(), b.TempDir(), meta, tenantOptions{
-		queueDepth:  depth,
-		slice:       64,
-		snapEvery:   -1,
-		commitEvery: 200 * time.Microsecond,
-		segBytes:    64 << 20,
-		fsyncEach:   fsyncEach,
-		now:         time.Now,
+		queueDepth: depth,
+		slice:      64,
+		snapEvery:  -1,
+		segBytes:   64 << 20,
+		fsyncEach:  fsyncEach,
+		now:        time.Now,
 	})
 	if err != nil {
 		b.Fatal(err)

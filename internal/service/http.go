@@ -239,9 +239,16 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request, t *tenant, cmd 
 	case res := <-cmd.reply:
 		s.finishSubmit(w, t, res)
 	case <-t.dead:
-		// The loop died (quarantine or shutdown) with the command still
-		// queued; it was never journaled, so the client may retry safely.
-		writeErr(w, http.StatusServiceUnavailable, errors.New("tenant loop stopped before processing"))
+		// The loop replies before it exits, so when both are ready the
+		// reply wins: dead alone means the loop died (quarantine or
+		// shutdown) with the command still queued; it was never
+		// journaled, so the client may retry safely.
+		select {
+		case res := <-cmd.reply:
+			s.finishSubmit(w, t, res)
+		default:
+			writeErr(w, http.StatusServiceUnavailable, errors.New("tenant loop stopped before processing"))
+		}
 	case <-r.Context().Done():
 		// The client gave up; the loop will still process and journal
 		// the command. Report that it is in flight.

@@ -41,12 +41,6 @@ type Options struct {
 	MaxTenants int
 	// EnableChaos admits the chaos_panic operation (test clusters only).
 	EnableChaos bool
-	// CommitInterval is the group-commit window: after the first command
-	// of a batch arrives, the event loop waits up to this long for more
-	// before the batch's single fsync. It caps the extra latency a lone
-	// mutation pays for amortization. Default 200µs; negative disables
-	// the wait entirely (batches are whatever is already queued).
-	CommitInterval time.Duration
 	// SegmentBytes is the journal rotation threshold: once the active
 	// segment passes it (checked at commit boundaries), the journal
 	// rotates to a fresh numbered segment, and checkpoints retire every
@@ -77,12 +71,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxTenants <= 0 {
 		o.MaxTenants = 256
-	}
-	if o.CommitInterval == 0 {
-		o.CommitInterval = 200 * time.Microsecond
-	}
-	if o.CommitInterval < 0 {
-		o.CommitInterval = 0
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
@@ -210,16 +198,15 @@ func Open(opts Options) (*Service, error) {
 
 func (s *Service) startTenant(dir string, meta tenantMeta) (*tenant, error) {
 	t, err := newTenant(s.killCtx, dir, meta, tenantOptions{
-		queueDepth:  s.opts.QueueDepth,
-		slice:       s.opts.ConvergeSlice,
-		snapEvery:   int64(s.opts.SnapshotEvery),
-		shards:      s.opts.Shards,
-		ratePerSec:  s.opts.RatePerSec,
-		burst:       s.opts.Burst,
-		commitEvery: s.opts.CommitInterval,
-		segBytes:    s.opts.SegmentBytes,
-		fsyncEach:   s.opts.FsyncEach,
-		now:         s.opts.Now,
+		queueDepth: s.opts.QueueDepth,
+		slice:      s.opts.ConvergeSlice,
+		snapEvery:  int64(s.opts.SnapshotEvery),
+		shards:     s.opts.Shards,
+		ratePerSec: s.opts.RatePerSec,
+		burst:      s.opts.Burst,
+		segBytes:   s.opts.SegmentBytes,
+		fsyncEach:  s.opts.FsyncEach,
+		now:        s.opts.Now,
 	})
 	if err != nil {
 		return nil, err

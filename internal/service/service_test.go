@@ -161,10 +161,10 @@ func TestSMITenantConverges(t *testing.T) {
 // the event loop wedged, a full bounded queue returns 503 +
 // Retry-After instead of queueing unboundedly.
 func TestBackpressure503(t *testing.T) {
-	// CommitInterval -1 disables the gather window: once the loop has
-	// dequeued the wedge command it proceeds straight to prepare, so a
-	// command sent afterwards provably stays in the queue.
-	svc := newTestService(t, Options{QueueDepth: 1, CommitInterval: -1})
+	// gather never waits for company: once the loop has dequeued the
+	// wedge command it proceeds straight to prepare, so a command sent
+	// afterwards provably stays in the queue.
+	svc := newTestService(t, Options{QueueDepth: 1})
 	h := svc.Handler()
 	pathTenant(t, h, "bp", ProtocolSMM, 4)
 	tn, err := svc.Tenant("bp")

@@ -91,10 +91,6 @@ type tenant struct {
 	bound     int
 	slice     int
 	snapEvery int64
-	// commitEvery is the group-commit window: after the first command of
-	// a batch arrives, the loop waits up to this long for more before
-	// the single fsync. Zero disables the wait (drain-only batching).
-	commitEvery time.Duration
 	// fsyncEach forces the pre-group-commit discipline of one fsync per
 	// journaled mutation; kept as the benchmark baseline.
 	fsyncEach bool
@@ -164,16 +160,15 @@ type tenant struct {
 }
 
 type tenantOptions struct {
-	queueDepth  int
-	slice       int
-	snapEvery   int64
-	shards      int
-	ratePerSec  float64
-	burst       int
-	commitEvery time.Duration
-	segBytes    int64
-	fsyncEach   bool
-	now         func() time.Time
+	queueDepth int
+	slice      int
+	snapEvery  int64
+	shards     int
+	ratePerSec float64
+	burst      int
+	segBytes   int64
+	fsyncEach  bool
+	now        func() time.Time
 }
 
 // newTenant builds (or recovers) a tenant from its directory and starts
@@ -197,22 +192,21 @@ func newTenant(svcCtx context.Context, dir string, meta tenantMeta, opts tenantO
 		return nil, err
 	}
 	t := &tenant{
-		id:          meta.ID,
-		meta:        meta,
-		dir:         dir,
-		bound:       protocolBound(meta.Protocol, meta.N),
-		slice:       opts.slice,
-		snapEvery:   opts.snapEvery,
-		commitEvery: opts.commitEvery,
-		fsyncEach:   opts.fsyncEach,
-		limiter:     newTokenBucket(opts.ratePerSec, opts.burst, opts.now),
-		cmds:        make(chan *command, opts.queueDepth),
-		quit:        make(chan struct{}),
-		dead:        make(chan struct{}),
-		svcCtx:      svcCtx,
-		eng:         eng,
-		jr:          jr,
-		dedup:       make(map[string]int64),
+		id:        meta.ID,
+		meta:      meta,
+		dir:       dir,
+		bound:     protocolBound(meta.Protocol, meta.N),
+		slice:     opts.slice,
+		snapEvery: opts.snapEvery,
+		fsyncEach: opts.fsyncEach,
+		limiter:   newTokenBucket(opts.ratePerSec, opts.burst, opts.now),
+		cmds:      make(chan *command, opts.queueDepth),
+		quit:      make(chan struct{}),
+		dead:      make(chan struct{}),
+		svcCtx:    svcCtx,
+		eng:       eng,
+		jr:        jr,
+		dedup:     make(map[string]int64),
 	}
 	if err := t.recoverFrom(entries); err != nil {
 		t.closeResources()
@@ -283,6 +277,13 @@ func (t *tenant) restore(snap tenantSnapshot) error {
 	defer t.mu.Unlock()
 	want := make(map[[2]int]bool, len(snap.Edges))
 	for _, e := range snap.Edges {
+		// A checkpoint is parseable JSON from disk, not a value the live
+		// path produced: an edge graph.NewEdge or setLink would panic on
+		// must fail recovery with an error before the engine is touched,
+		// as a poisoned journal entry does.
+		if !distinctInRange(e[0], e[1], t.eng.n()) {
+			return fmt.Errorf("edge %v needs distinct endpoints in [0, %d)", e, t.eng.n())
+		}
 		want[e] = true
 	}
 	for _, e := range t.eng.edges() {
@@ -382,36 +383,13 @@ func (t *tenant) drainQueued() []*command {
 	}
 }
 
-// gather builds one batch: the command that woke the loop, everything
-// already queued behind it, and — when a commit window is configured —
-// whatever else arrives within commitEvery. The window is how a
-// sustained stream amortizes one fsync over many mutations; its length
-// caps the extra latency a lone request can pay.
+// gather builds one batch: the command that woke the loop and
+// everything already queued behind it. There is no wait for company:
+// commands that arrive while a batch commits and applies queue up and
+// form the next batch, so under a sustained stream the fsync in flight
+// is itself the window, and a lone mutation pays nothing for it.
 func (t *tenant) gather(first *command) []*command {
-	batch := append([]*command{first}, t.drainQueued()...)
-	if t.commitEvery <= 0 {
-		return batch
-	}
-	limit := cap(t.cmds) + 1
-	if len(batch) >= limit {
-		return batch
-	}
-	timer := time.NewTimer(t.commitEvery)
-	defer timer.Stop()
-	for len(batch) < limit {
-		select {
-		case cmd := <-t.cmds:
-			batch = append(batch, cmd)
-		case <-timer.C:
-			return batch
-		case <-t.quit:
-			// Shutting down: stop collecting and let the loop drain.
-			return batch
-		case <-t.svcCtx.Done():
-			return batch
-		}
-	}
-	return batch
+	return append([]*command{first}, t.drainQueued()...)
 }
 
 // isBarrier reports whether an op cannot join a group commit: converge
@@ -924,11 +902,15 @@ func remember(dedup map[string]int64, r *dedupRing, key string, seq int64) {
 	dedup[key] = seq
 }
 
+// distinctInRange is the rule every edge must pass before it reaches
+// the engine: endpoints u ≠ v, both in [0, n).
+func distinctInRange(u, v, n int) bool { return u != v && u >= 0 && u < n && v >= 0 && v < n }
+
 func validateMutation(m Mutation, n int) error {
 	inRange := func(v *int) bool { return v != nil && *v >= 0 && *v < n }
 	switch m.Op {
 	case OpAddEdge, OpRemoveEdge:
-		if !inRange(m.U) || !inRange(m.V) || *m.U == *m.V {
+		if m.U == nil || m.V == nil || !distinctInRange(*m.U, *m.V, n) {
 			return fmt.Errorf("%s needs distinct u, v in [0, %d)", m.Op, n)
 		}
 	case OpAddNode:
