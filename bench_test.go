@@ -519,6 +519,27 @@ func BenchmarkLarge_CheckSMMDisk4096(b *testing.B) {
 	}
 }
 
+// BenchmarkLarge_SetLinkDisk4096 times a link flap as the fault layer
+// and the service apply it: SetLink removing, then re-adding, one edge
+// of a converged 4096-node unit-disk SMM configuration, which patches
+// the shared adjacency snapshot in place and dirties both closed
+// neighborhoods. It must not allocate: the pinned allocs/op gate holds
+// it at 0.
+func BenchmarkLarge_SetLinkDisk4096(b *testing.B) {
+	g := largeDisk(4096)
+	f := sim.NewFaultLockstep(core.NewSMM(), benchSMMConfig(g, 1))
+	if res := f.Lockstep().Run(g.N() + 2); !res.Stable {
+		b.Fatal(res)
+	}
+	e := g.Edges()[g.M()/2]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.SetLink(e, false)
+		f.SetLink(e, true)
+	}
+}
+
 // The BenchmarkShard1M_* family is the sharded executor at deliverable
 // scale: one million nodes, sparse (expected degree 8) and unit-disk
 // (expected degree ~10) topologies, at 1/2/4/8 shards. Each iteration

@@ -52,7 +52,7 @@ const (
 	bOwned     uint8 = 1 << iota // index derived from the ids slice
 	bTopo                        // index derived from the CSR rows
 	bIdsSlice                    // the ids slice or a subslice of it
-	bTopoSlice                   // a CSR row slice (Rows32/Rows/Neighbors result)
+	bTopoSlice                   // a CSR row slice (Rows/Neighbors result)
 	bTopoSrc                     // the CSR topology value itself
 )
 
@@ -348,9 +348,9 @@ func (c *checker) assign(n *ast.AssignStmt, st state, report reporter) {
 			}
 		}
 	} else {
-		// Multi-value RHS. A tuple-returning CSR accessor (Rows,
-		// Rows32) hands out row slices for every result; anything
-		// else clears provenance.
+		// Multi-value RHS. A tuple-returning CSR accessor (Rows)
+		// hands out row slices for every result; anything else
+		// clears provenance.
 		bits := uint8(0)
 		if len(n.Rhs) == 1 {
 			if call, ok := unparen(n.Rhs[0]).(*ast.CallExpr); ok {
@@ -445,7 +445,7 @@ func (c *checker) class(st state, e ast.Expr) uint8 {
 		if tv, ok := info.Types[unparen(e.Fun)]; ok && tv.IsType() && len(e.Args) == 1 {
 			return c.class(st, e.Args[0]) & (bOwned | bTopo)
 		}
-		// Method calls on the topology yield row slices: csr.Rows32()
+		// Method calls on the topology yield row slices: csr.Rows()
 		// and friends. Any accessor rooted at the CSR is sanctioned as
 		// a topology source.
 		if sel, ok := unparen(e.Fun).(*ast.SelectorExpr); ok {

@@ -9,10 +9,10 @@ type NodeID int32
 
 type CSR struct {
 	offs []int32
-	nbrs []int32
+	nbrs []NodeID
 }
 
-func (c *CSR) Rows32() ([]int32, []int32) { return c.offs, c.nbrs }
+func (c *CSR) Rows() ([]int32, []NodeID) { return c.offs, c.nbrs }
 
 type Frontier struct{ dirty []byte }
 
@@ -37,7 +37,7 @@ func (Good) CommitBatch(ids []NodeID, states, next []int32, moved []bool) int {
 }
 
 func (Good) MarkBatch(ids []NodeID, csr *CSR, states []int32, moved []bool, f *Frontier) {
-	offs, nbrs := csr.Rows32()
+	offs, nbrs := csr.Rows()
 	for _, id := range ids {
 		if !moved[id] {
 			continue

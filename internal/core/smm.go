@@ -288,14 +288,13 @@ func (s *SMM) moveDirectPolicies(id graph.NodeID, nbrs []graph.NodeID, peers []P
 //
 //selfstab:noalloc
 func (s *SMM) MoveBatch(ids []graph.NodeID, csr *graph.CSR, states, next []Pointer, moved []bool) {
+	offs, nbrs := csr.Rows()
 	if s.Accept != AcceptMinID || s.Proposal != ProposeMinID {
-		woffs, wnbrs := csr.Rows()
 		for _, id := range ids {
-			next[id], moved[id] = s.moveDirect(id, states[id], wnbrs[woffs[id]:woffs[id+1]], states)
+			next[id], moved[id] = s.moveDirect(id, states[id], nbrs[offs[id]:offs[id+1]], states)
 		}
 		return
 	}
-	offs, nbrs := csr.Rows32()
 	for _, id := range ids {
 		self := states[id]
 		row := nbrs[offs[id]:offs[id+1]]
@@ -305,7 +304,7 @@ func (s *SMM) MoveBatch(ids []graph.NodeID, csr *graph.CSR, states, next []Point
 			// reverse order is the first in ascending order, so prop ends
 			// as the min-ID proposer and firstNull as the min-ID null
 			// neighbor, with no data-dependent branches inside the loop.
-			prop, firstNull := int32(-1), int32(-1)
+			prop, firstNull := graph.NodeID(-1), graph.NodeID(-1)
 			for i := len(row) - 1; i >= 0; i-- {
 				j := row[i]
 				pj := states[j]
@@ -326,7 +325,7 @@ func (s *SMM) MoveBatch(ids []graph.NodeID, csr *graph.CSR, states, next []Point
 			}
 			continue
 		}
-		j := int32(self)
+		j := graph.NodeID(self)
 		if uint(j) >= uint(len(states)) {
 			next[id], moved[id] = Null, true // pointer outside the ID space: repair
 			continue
@@ -340,7 +339,7 @@ func (s *SMM) MoveBatch(ids []graph.NodeID, csr *graph.CSR, states, next []Point
 		}
 		// pj is Null or points back at us: the outcome now turns on
 		// whether the pointer is legal.
-		if containsNode32(row, j) {
+		if containsNode(row, j) {
 			next[id], moved[id] = self, false
 		} else {
 			next[id], moved[id] = Null, true // dangling pointer repair
@@ -393,7 +392,7 @@ func (s *SMM) CommitBatch(ids []graph.NodeID, states, next []Pointer, moved []bo
 //
 //selfstab:noalloc
 func (s *SMM) MarkBatch(ids []graph.NodeID, csr *graph.CSR, states []Pointer, moved []bool, f *graph.Frontier) {
-	offs, nbrs := csr.Rows32()
+	offs, nbrs := csr.Rows()
 	for _, id := range ids {
 		if !moved[id] {
 			continue
@@ -407,7 +406,7 @@ func (s *SMM) MarkBatch(ids []graph.NodeID, csr *graph.CSR, states []Pointer, mo
 			// state, pointing neighbors read only their target's.
 			isNull := pw == Null
 			pointsHere := pw == target
-			f.AddMask(graph.NodeID(w), isNull || pointsHere)
+			f.AddMask(w, isNull || pointsHere)
 		}
 	}
 }
@@ -419,30 +418,6 @@ func (s *SMM) MarkBatch(ids []graph.NodeID, csr *graph.CSR, states []Pointer, mo
 //
 //selfstab:noalloc
 func containsNode(nbrs []graph.NodeID, j graph.NodeID) bool {
-	if len(nbrs) <= 32 {
-		for _, x := range nbrs {
-			if x >= j {
-				return x == j
-			}
-		}
-		return false
-	}
-	lo, hi := 0, len(nbrs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if nbrs[mid] < j {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(nbrs) && nbrs[lo] == j
-}
-
-// containsNode32 is containsNode over a narrowed CSR row.
-//
-//selfstab:noalloc
-func containsNode32(nbrs []int32, j int32) bool {
 	if len(nbrs) <= 32 {
 		for _, x := range nbrs {
 			if x >= j {

@@ -1,19 +1,23 @@
 package graph
 
+import "sort"
+
 // CSR is a compressed-sparse-row snapshot of a Graph's adjacency: every
 // neighbor list, in ascending ID order, laid out back to back in one
-// flat slice, addressed by per-node offsets. Executors build one per
-// topology and read neighbor lists from it on the hot path — one
-// contiguous allocation instead of n small ones, and no second pointer
-// hop per node — rebuilding only when Graph.Version moves.
+// flat slice of 32-bit IDs, addressed by per-node offsets. Executors
+// take one from Graph.Snapshot and read neighbor lists from it on the
+// hot path — one contiguous allocation instead of n small ones, and no
+// second pointer hop per node.
 //
-// A CSR is immutable after BuildCSR returns and therefore safe to share
-// between goroutines (the data-parallel executor hands the same CSR to
-// every worker).
+// A CSR is valid for its version only: Graph.Snapshot may advance the
+// graph's cached snapshot in place by the one edit made since, so
+// executors record the graph version their derived state reflects
+// rather than ask Fresh of a snapshot another executor may have
+// advanced. Concurrent reads (the shard workers all read one CSR) are
+// safe while no goroutine edits the graph or calls Snapshot.
 type CSR struct {
 	offs    []int32 // len n+1; neighbor list of v is nbrs[offs[v]:offs[v+1]]
 	nbrs    []NodeID
-	nbrs32  []int32 // nbrs narrowed to int32, same layout: batch kernels walk this copy to halve the row cache footprint
 	version uint64
 }
 
@@ -30,30 +34,70 @@ func BuildCSR(g *Graph) *CSR {
 		c.nbrs = append(c.nbrs, g.Neighbors(NodeID(v))...)
 		c.offs[v+1] = int32(len(c.nbrs))
 	}
-	c.nbrs32 = make([]int32, len(c.nbrs))
-	for i, w := range c.nbrs {
-		c.nbrs32[i] = int32(w)
-	}
 	return c
 }
 
 // Snapshot returns a CSR of g's current adjacency, cached on the graph:
 // as long as no edge mutates, every caller — several executors over one
-// topology, run after run of an experiment — shares one immutable
-// snapshot instead of rebuilding it. Concurrent Snapshot calls are safe;
-// concurrent calls with graph mutation are not (Graph mutation is not
-// thread-safe in general).
+// topology, run after run of an experiment — shares one snapshot instead
+// of rebuilding it. A cached snapshot exactly one version behind is
+// patched forward in place by g's last edit, reusing its arrays'
+// capacity; after two or more edits, or with nothing cached, Snapshot
+// builds a fresh one. Concurrent Snapshot calls are safe; concurrent
+// calls with graph mutation are not (Graph mutation is not thread-safe
+// in general).
 func (g *Graph) Snapshot() *CSR {
 	g.snapMu.Lock()
 	defer g.snapMu.Unlock()
-	if !g.snap.Fresh(g) {
+	switch {
+	case g.snap.Fresh(g):
+	case g.snap != nil && g.snap.version+1 == g.version:
+		g.snap.patch(g.last, g.lastAdd, g.version)
+	default:
 		g.snap = BuildCSR(g)
 	}
 	return g.snap
 }
 
+// patch applies one edge edit to c in place and stamps it with version:
+// add inserts e into both endpoints' rows, otherwise e is removed. Each
+// endpoint costs one copy of the array suffix past its row position;
+// the offsets past e.U move by ±1 and those past e.V by ±2 in total.
+func (c *CSR) patch(e Edge, add bool, version uint64) {
+	u, v := e.U, e.V // u < v, so u's row precedes v's
+	iu := c.offs[u] + rowIndex(c.Neighbors(u), v)
+	iv := c.offs[v] + rowIndex(c.Neighbors(v), u)
+	d := int32(1)
+	if add {
+		c.nbrs = append(c.nbrs, 0, 0)
+		copy(c.nbrs[iv+2:], c.nbrs[iv:])
+		copy(c.nbrs[iu+1:iv+1], c.nbrs[iu:iv])
+		c.nbrs[iu], c.nbrs[iv+1] = v, u
+	} else {
+		copy(c.nbrs[iu:], c.nbrs[iu+1:iv])
+		copy(c.nbrs[iv-1:], c.nbrs[iv+1:])
+		c.nbrs = c.nbrs[:len(c.nbrs)-2]
+		d = -1
+	}
+	shiftOffsets(c.offs[u+1:v+1], d)
+	shiftOffsets(c.offs[v+1:], 2*d)
+	c.version = version
+}
+
+// rowIndex returns the position of x in the ascending row, or where it
+// would be inserted.
+func rowIndex(row []NodeID, x NodeID) int32 {
+	return int32(sort.Search(len(row), func(i int) bool { return row[i] >= x }))
+}
+
+func shiftOffsets(offs []int32, d int32) {
+	for i := range offs {
+		offs[i] += d
+	}
+}
+
 // Fresh reports whether the snapshot still matches g: same node count
-// and no edge mutation since BuildCSR.
+// and the same edge-mutation version.
 //
 //selfstab:noalloc
 func (c *CSR) Fresh(g *Graph) bool {
@@ -82,20 +126,10 @@ func (c *CSR) Degree(v NodeID) int {
 
 // Rows exposes the raw arrays for batch kernels that slice neighbor
 // lists inline: the neighbor list of v is nbrs[offs[v]:offs[v+1]]. Both
-// slices are read-only.
+// slices are read-only, and valid until the next Snapshot call advances
+// the snapshot.
 //
 //selfstab:noalloc
 func (c *CSR) Rows() (offs []int32, nbrs []NodeID) {
 	return c.offs, c.nbrs
-}
-
-// Rows32 is Rows with the neighbor array narrowed to int32 — half the
-// bytes per row, which keeps the whole adjacency L1-resident on graphs
-// where the NodeID-width copy does not fit. Node IDs always fit in int32
-// (the dense ID space is bounded by the node count). Both slices are
-// read-only.
-//
-//selfstab:noalloc
-func (c *CSR) Rows32() (offs []int32, nbrs []int32) {
-	return c.offs, c.nbrs32
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -90,5 +91,55 @@ func FuzzShardPartition(f *testing.F) {
 		c := g.Snapshot()
 		p := NewPartition(c, int(k))
 		checkPartition(t, c, p)
+	})
+}
+
+// FuzzCSRPatch pins the in-place snapshot patch to a rebuild. It decodes
+// a graph on n ≤ 64 nodes from edges (byte pairs), then applies edits
+// (byte triples u, v, op): bit 0 of op adds the edge, otherwise removes
+// it — no-op edits and self-loops included, the latter skipped — and
+// bit 1 takes a Snapshot after the edit. Every snapshot taken must equal
+// a fresh BuildCSR, and one taken at most one version after the last
+// must be that same snapshot, advanced in place.
+func FuzzCSRPatch(f *testing.F) {
+	f.Add(uint8(4), []byte{}, []byte{0, 1, 3, 2, 3, 3, 0, 1, 2, 2, 3, 3})
+	f.Add(uint8(5), []byte{0, 1, 1, 2, 2, 3, 3, 4, 0, 4}, []byte{0, 4, 2, 0, 4, 3, 1, 3, 1, 3, 4, 2})
+	f.Add(uint8(64), []byte{0, 63, 5, 9, 9, 40, 63, 62}, []byte{0, 63, 2, 0, 63, 3, 63, 62, 0, 7, 7, 3, 1, 2, 1, 1, 2, 3})
+	f.Add(uint8(1), []byte{0, 0}, []byte{0, 0, 3})
+	f.Add(uint8(0), []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, n uint8, edges, edits []byte) {
+		g := New(int(n) % 65)
+		if g.N() == 0 {
+			return
+		}
+		node := func(b byte) NodeID { return NodeID(int(b) % g.N()) }
+		for i := 0; i+1 < len(edges); i += 2 {
+			if u, v := node(edges[i]), node(edges[i+1]); u != v {
+				g.AddEdge(u, v)
+			}
+		}
+		prev, prevVersion := g.Snapshot(), g.Version()
+		for i := 0; i+2 < len(edits); i += 3 {
+			u, v, op := node(edits[i]), node(edits[i+1]), edits[i+2]
+			switch {
+			case u == v:
+			case op&1 == 1:
+				g.AddEdge(u, v)
+			default:
+				g.RemoveEdge(u, v)
+			}
+			if op&2 == 0 {
+				continue
+			}
+			c := g.Snapshot()
+			want := BuildCSR(g)
+			if !c.Fresh(g) || !reflect.DeepEqual(c.offs, want.offs) || !reflect.DeepEqual(c.nbrs, want.nbrs) {
+				t.Fatalf("edit %d: snapshot %v %v, rebuild %v %v", i/3, c.offs, c.nbrs, want.offs, want.nbrs)
+			}
+			if g.Version() <= prevVersion+1 && c != prev {
+				t.Fatalf("edit %d: at most one edit behind, but Snapshot replaced the snapshot", i/3)
+			}
+			prev, prevVersion = c, g.Version()
+		}
 	})
 }

@@ -12,14 +12,17 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
 
 // NodeID identifies a node. IDs are dense: a Graph with n nodes uses IDs
 // 0..n-1. Protocols compare IDs as integers, matching the paper's
-// assumption that "each node is assigned a unique ID".
-type NodeID int
+// assumption that "each node is assigned a unique ID". IDs are 32-bit,
+// so a graph holds at most math.MaxInt32 nodes and a CSR row costs four
+// bytes per neighbor.
+type NodeID int32
 
 // Graph is an undirected simple graph on a fixed node set. The zero value
 // is an empty graph with no nodes; use New to allocate one with n nodes.
@@ -36,19 +39,29 @@ type Graph struct {
 	// mobility churn, by a test poking the graph directly — is detected
 	// at the next round without any callback wiring.
 	version uint64
+	// last is the edge of the most recent successful AddEdge (lastAdd) or
+	// RemoveEdge: the edit that took the graph from version-1 to version,
+	// which Snapshot replays onto a snapshot exactly one version behind.
+	last    Edge
+	lastAdd bool
 
 	// snap caches the CSR adjacency snapshot served by Snapshot, keyed on
 	// version, so every executor and run over one topology shares a single
-	// immutable snapshot instead of each rebuilding it.
+	// snapshot instead of each rebuilding it.
 	snap   *CSR
 	snapMu sync.Mutex
 }
 
 // New returns an empty graph (no edges) on n nodes with IDs 0..n-1.
-// It panics if n is negative.
+// It panics if n is negative or exceeds math.MaxInt32, the largest
+// count whose IDs fit a NodeID; callers decoding an untrusted count
+// check it first (see ReadEdgeList).
 func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: New(%d): negative node count", n))
+	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: New(%d): node count exceeds the 32-bit ID space", n))
 	}
 	return &Graph{adj: make([][]NodeID, n)}
 }
@@ -108,6 +121,7 @@ func (g *Graph) AddEdge(u, v NodeID) bool {
 	g.adj[v] = insertSorted(g.adj[v], u)
 	g.m++
 	g.version++
+	g.last, g.lastAdd = NewEdge(u, v), true
 	return true
 }
 
@@ -123,6 +137,7 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	g.adj[v] = removeSorted(g.adj[v], u)
 	g.m--
 	g.version++
+	g.last, g.lastAdd = NewEdge(u, v), false
 	return true
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -44,7 +45,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 		if g == nil {
 			var n int
-			if _, err := fmt.Sscanf(text, "%d", &n); err != nil || n < 0 {
+			if _, err := fmt.Sscanf(text, "%d", &n); err != nil || n < 0 || n > math.MaxInt32 {
 				return nil, fmt.Errorf("graph: line %d: bad node count %q", line, text)
 			}
 			g = New(n)
@@ -94,8 +95,8 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &jg); err != nil {
 		return fmt.Errorf("graph: decoding JSON: %w", err)
 	}
-	if jg.N < 0 {
-		return fmt.Errorf("graph: negative node count %d", jg.N)
+	if jg.N < 0 || jg.N > math.MaxInt32 {
+		return fmt.Errorf("graph: node count %d outside [0, %d]", jg.N, math.MaxInt32)
 	}
 	*g = *New(jg.N)
 	for _, e := range jg.Edges {

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/json"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -110,5 +111,37 @@ func TestQuickSerializationRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Node IDs are 32-bit, so a count past math.MaxInt32 must be refused
+// before anything is allocated: the decoders return an error, New
+// panics.
+func TestNodeCountBeyond32Bits(t *testing.T) {
+	refusers := []struct {
+		name   string
+		refuse func(n string) bool
+	}{
+		{"ReadEdgeList", func(n string) bool {
+			_, err := ReadEdgeList(strings.NewReader(n + "\n0 1\n"))
+			return err != nil
+		}},
+		{"UnmarshalJSON", func(n string) bool {
+			var g Graph
+			return json.Unmarshal([]byte(`{"n":`+n+`,"edges":[[0,1]]}`), &g) != nil
+		}},
+		{"New", func(n string) (panicked bool) {
+			count, _ := strconv.Atoi(n)
+			defer func() { panicked = recover() != nil }()
+			New(count)
+			return false
+		}},
+	}
+	for _, n := range []string{"2147483648", "9223372036854775807"} {
+		for _, r := range refusers {
+			if !r.refuse(n) {
+				t.Errorf("%s accepted node count %s", r.name, n)
+			}
+		}
 	}
 }

@@ -22,7 +22,9 @@ import "sort"
 // O(1) regardless of the graph.
 //
 // A Partition is immutable after NewPartition returns and safe to share
-// between goroutines.
+// between goroutines. Its ranges stay valid for any edge set; its halo
+// index reflects the snapshot version it was built from, so executors
+// with K > 1 rebuild it whenever the snapshot advances.
 type Partition struct {
 	csr    *CSR
 	starts []int32 // len K+1; shard s owns nodes [starts[s], starts[s+1])

@@ -67,14 +67,16 @@ type Network[S comparable] struct {
 	sent    *sync.WaitGroup // beacons of the current round all sent
 
 	// Round snapshot handed to node goroutines: the adjacency (a CSR,
-	// rebuilt when the topology's version moves), the pre-round states,
-	// and the round's dirty set. All are written by the coordinator
-	// strictly before the cmdRound sends and read by node goroutines
-	// strictly after the receives, so the channel handshake orders every
-	// write before every read.
+	// re-taken when the topology's version moves away from topo, the
+	// version the frontier reflects), the pre-round states, and the
+	// round's dirty set. All are written by the coordinator strictly
+	// before the cmdRound sends and read by node goroutines strictly
+	// after the receives, so the channel handshake orders every write —
+	// an in-place Snapshot patch included — before every read.
 	roundCSR    *graph.CSR
 	roundStates []S
 	dirty       []bool
+	topo        uint64
 
 	frontier *graph.Frontier
 	dirtyBuf []graph.NodeID // drained frontier of the current round
@@ -110,6 +112,7 @@ func New[S comparable](p core.Protocol[S], g *graph.Graph, states []S) *Network[
 		frontier:    graph.NewFrontier(n),
 		fullScan:    referenceScan.Load(),
 	}
+	net.resync()
 	for v := 0; v < n; v++ {
 		net.inboxes[v] = make(chan beaconMsg[S], n) // capacity ≥ max degree
 		net.cmds[v] = make(chan roundCmd)
@@ -199,10 +202,14 @@ func (net *Network[S]) DirtyView(v graph.NodeID) {
 
 // DirtyEdge re-syncs the adjacency snapshot after a hooked topology
 // mutation on edge {u,v} and re-dirties the affected closed
-// neighborhoods (see sim.Lockstep.DirtyEdge).
+// neighborhoods, or everyone when an earlier edit went unreported (see
+// sim.Lockstep.DirtyEdge).
 func (net *Network[S]) DirtyEdge(u, v graph.NodeID) {
-	if !net.roundCSR.Fresh(net.g) {
-		net.roundCSR = net.g.Snapshot()
+	missed := net.g.Version()-net.topo > 1
+	net.resync()
+	if missed {
+		net.frontier.AddAll()
+		return
 	}
 	for _, x := range [2]graph.NodeID{u, v} {
 		net.frontier.Add(x)
@@ -212,16 +219,21 @@ func (net *Network[S]) DirtyEdge(u, v graph.NodeID) {
 	}
 }
 
+// resync adopts the graph's current snapshot and records its version.
+func (net *Network[S]) resync() {
+	net.roundCSR, net.topo = net.g.Snapshot(), net.g.Version()
+}
+
 // Step runs one synchronous round and returns the number of active
 // nodes.
 func (net *Network[S]) Step() int {
 	if net.closed {
 		panic("runtime: Step after Close")
 	}
-	if !net.roundCSR.Fresh(net.g) {
+	if net.g.Version() != net.topo {
 		// Unhooked topology change (ApplyEvents, a test editing the
 		// graph): re-snapshot and re-evaluate everyone.
-		net.roundCSR = net.g.Snapshot()
+		net.resync()
 		net.frontier.AddAll()
 	}
 	if net.fullScan {

@@ -202,3 +202,27 @@ func TestRandomizedProtocolConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An edit made straight on the graph followed by a hooked flip in the
+// same inter-round window must be evaluated: DirtyEdge reports only the
+// second edge, so the network has to notice the version moved by two.
+// Four isolated nodes sit at SMI's fixed point (all in); linking 0–1
+// behind the network's back makes two adjacent members.
+func TestUnhookedEditBeforeHookedFlipIsEvaluated(t *testing.T) {
+	g := graph.New(4)
+	f := NewFaultNetwork[bool](core.NewSMI(), g, make([]bool, 4))
+	defer f.Close()
+	if _, _, stable := f.Network().Run(10); !stable {
+		t.Fatal("did not stabilize")
+	}
+	g.AddEdge(0, 1)
+	f.SetLink(graph.NewEdge(2, 3), true)
+	for r := 0; f.Step() > 0; r++ {
+		if r == 10 {
+			t.Fatal("did not quiesce")
+		}
+	}
+	if err := verify.IsMaximalIndependentSet(g, core.SetOf(f.Config())); err != nil {
+		t.Fatalf("quiet but not legitimate: %v", err)
+	}
+}

@@ -151,11 +151,12 @@ func (e *engine[S]) close() { e.fl.Close() }
 func newEngine(protocol string, n int, edges [][2]int, shards int) (tenantEngine, error) {
 	g := graph.New(n)
 	for _, e := range edges {
-		u, v := graph.NodeID(e[0]), graph.NodeID(e[1])
-		if int(u) < 0 || int(u) >= n || int(v) < 0 || int(v) >= n || u == v {
+		// Checked as ints: NodeID is 32-bit, so converting first would
+		// wrap an out-of-range endpoint into range.
+		if !distinctInRange(e[0], e[1], n) {
 			return nil, fmt.Errorf("invalid edge [%d, %d] for n=%d", e[0], e[1], n)
 		}
-		g.AddEdge(u, v)
+		g.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1]))
 	}
 	switch protocol {
 	case ProtocolSMM:

@@ -46,6 +46,7 @@ func TestCreateValidation(t *testing.T) {
 		{"zero n", createRequest{ID: "x", Protocol: ProtocolSMM, N: 0}},
 		{"self loop", createRequest{ID: "x", Protocol: ProtocolSMM, N: 4, Edges: [][2]int{{1, 1}}}},
 		{"edge out of range", createRequest{ID: "x", Protocol: ProtocolSMM, N: 4, Edges: [][2]int{{0, 9}}}},
+		{"edge past 32 bits", createRequest{ID: "x", Protocol: ProtocolSMM, N: 4, Edges: [][2]int{{1 << 32, 1}}}},
 	}
 	for _, tc := range cases {
 		if code, _ := doJSON(t, h, "POST", "/v1/tenants", tc.req, nil); code != http.StatusBadRequest {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -222,5 +223,85 @@ func TestFrontierSurvivesExternalMutation(t *testing.T) {
 				t.Fatalf("trial %d: node %d diverged after churn", trial, v)
 			}
 		}
+	}
+}
+
+// An edit made straight on the graph and then a hooked flip, both in
+// one inter-round window: DirtyEdge reports only the second edge, so
+// the executor must notice the version moved by two and evaluate
+// everyone. Four isolated nodes sit at SMI's fixed point (all in);
+// linking 0–1 behind the executor's back makes two adjacent members.
+func TestUnhookedEditBeforeHookedFlipIsEvaluated(t *testing.T) {
+	g := graph.New(4)
+	cfg := core.NewConfig[bool](g)
+	f := NewFaultLockstep[bool](core.NewSMI(), cfg)
+	if res := f.Lockstep().Run(10); !res.Stable {
+		t.Fatalf("did not stabilize: %v", res)
+	}
+	g.AddEdge(0, 1)
+	f.SetLink(graph.NewEdge(2, 3), true)
+	res, err := f.Lockstep().ConvergeCtx(context.Background(), 10)
+	if err != nil || !res.Stable {
+		t.Fatalf("ConvergeCtx: %v err=%v", res, err)
+	}
+	if err := faults.SMIChecker(cfg); err != nil {
+		t.Fatalf("stable but not legitimate: %v", err)
+	}
+}
+
+// Two frontier engines share one graph, and every flip goes through the
+// first one's fault adapter: its DirtyEdge advances the graph's shared
+// snapshot in place, under the second engine, which heard of no edit.
+// Each must still land on what a reference engine does with the same
+// edits — the first with its hooked flips, the second with the edits
+// made straight on its graph. The second engine converges only after
+// every other flip, so it also meets two edits in one window; at two
+// shards it must rebuild its halo index over the patched snapshot.
+func TestSharedSnapshotFlipsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(108))
+	for trial := 0; trial < 8; trial++ {
+		n := 16 + rng.Intn(32)
+		g := graph.RandomConnected(n, 0.15, rng)
+		gA, gB := g.Clone(), g.Clone()
+		p := core.NewSMM()
+		seed := int64(trial)
+		fa := NewFaultLockstep(p, equivCfg(p, g, seed))
+		fb := NewShardedLockstep(p, equivCfg(p, g, seed+1), 2)
+		refA := NewReferenceFaultLockstep(p, equivCfg(p, gA, seed))
+		refB := NewReferenceLockstep(p, equivCfg(p, gB, seed+1))
+		converge := func(tag string, fr, ref *Lockstep[core.Pointer]) {
+			t.Helper()
+			r1, err1 := fr.ConvergeCtx(context.Background(), 4*n)
+			r2, err2 := ref.ConvergeCtx(context.Background(), 4*n)
+			if err1 != nil || err2 != nil || r1 != r2 || !r1.Stable {
+				t.Fatalf("trial %d %s: frontier %v (%v), reference %v (%v)", trial, tag, r1, err1, r2, err2)
+			}
+			if !reflect.DeepEqual(fr.cfg.States, ref.cfg.States) {
+				t.Fatalf("trial %d %s: states diverged:\nfrontier:  %v\nreference: %v", trial, tag, fr.cfg.States, ref.cfg.States)
+			}
+		}
+		fa.Lockstep().Run(4 * n)
+		refA.Lockstep().Run(4 * n)
+		fb.Run(4 * n)
+		refB.Run(4 * n)
+		for k := 0; k < 12; k++ {
+			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+			if u == v {
+				continue
+			}
+			e, present := graph.NewEdge(u, v), !g.HasEdge(u, v)
+			fa.SetLink(e, present)
+			refA.SetLink(e, present)
+			if present {
+				gB.AddEdge(e.U, e.V)
+			} else {
+				gB.RemoveEdge(e.U, e.V)
+			}
+			converge("hooked", fa.Lockstep(), refA.Lockstep())
+			if k%2 == 1 {
+				converge("unhooked", fb, refB)
+			}
+		}
+		fb.Close()
 	}
 }

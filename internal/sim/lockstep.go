@@ -96,10 +96,12 @@ type Lockstep[S comparable] struct {
 
 	// fullScan selects the reference engine: every round is a full round.
 	fullScan bool
-	// csr is the flat adjacency snapshot serving all neighbor reads; it
-	// is rebuilt (and every node re-dirtied) whenever the topology's
-	// version moves without a DirtyEdge notification.
-	csr *graph.CSR
+	// csr is the flat adjacency snapshot serving all neighbor reads, and
+	// topo the graph version the frontier reflects — kept here rather
+	// than read from csr, the graph's shared snapshot, which any
+	// Snapshot call may advance in place.
+	csr  *graph.CSR
+	topo uint64
 	// part splits the node IDs into contiguous ranges, one per shard;
 	// shards[s] holds range s's frontier, drain buffer and counters (see
 	// sharded.go for the round that runs over them).
@@ -163,6 +165,7 @@ func NewShardedLockstep[S comparable](p core.Protocol[S], cfg core.Config[S], sh
 		moved:     make([]bool, n),
 		fullScan:  referenceScan.Load(),
 		csr:       cfg.G.Snapshot(),
+		topo:      cfg.G.Version(),
 		fullRound: true,
 	}
 	l.part = graph.NewPartition(l.csr, shards)
@@ -249,16 +252,16 @@ func (l *Lockstep[S]) DirtyView(v graph.NodeID) {
 // topology on edge {u,v} and re-dirties exactly the affected closed
 // neighborhoods: both endpoints (their neighbor lists changed, and link
 // removal may have repaired their states) and the endpoints' current
-// neighbors (whose views contain those states). Calling it after every
-// hooked topology edit keeps the self-detection path (graph.Version →
-// full re-dirty) for unhooked edits only.
+// neighbors (whose views contain those states). That footprint is exact
+// only when {u,v} is the one edit since the executor last synced; if the
+// graph moved by more, an earlier edit went unreported and the next
+// round evaluates everyone.
 func (l *Lockstep[S]) DirtyEdge(u, v graph.NodeID) {
-	if !l.csr.Fresh(l.cfg.G) {
-		l.csr = l.cfg.G.Snapshot()
-		// Ranges depend only on (n, K) and stay put, but the halo index
-		// follows the edge set: rebuild it so the next absorb phase still
-		// covers every cross-shard mark (O(1) at one shard).
-		l.part = graph.NewPartition(l.csr, len(l.shards))
+	missed := l.cfg.G.Version()-l.topo > 1
+	l.resync()
+	if missed {
+		l.addAll()
+		return
 	}
 	for _, x := range [2]graph.NodeID{u, v} {
 		l.dirty(x)
@@ -266,6 +269,19 @@ func (l *Lockstep[S]) DirtyEdge(u, v graph.NodeID) {
 			l.dirty(w)
 		}
 	}
+}
+
+// resync adopts the graph's current snapshot and records its version.
+// Ranges depend only on (n, K), so one shard re-points its partition
+// only at a new snapshot; with K > 1 the halo index follows the edge
+// set and is rebuilt so the next absorb phase still covers every
+// cross-shard mark.
+func (l *Lockstep[S]) resync() {
+	c := l.cfg.G.Snapshot()
+	if c != l.csr || len(l.shards) > 1 {
+		l.part = graph.NewPartition(c, len(l.shards))
+	}
+	l.csr, l.topo = c, l.cfg.G.Version()
 }
 
 // Run implements Instance.

@@ -118,14 +118,11 @@ func (l *Lockstep[S]) addAll() {
 //
 //selfstab:noalloc
 func (l *Lockstep[S]) Step() int {
-	if !l.csr.Fresh(l.cfg.G) {
+	if l.cfg.G.Version() != l.topo {
 		// Unattributed topology change (mobility churn, a test editing the
-		// graph): re-snapshot, rebuild the halo index (ranges depend only
-		// on (n, K) and stay put), re-evaluate everyone.
+		// graph): re-snapshot and re-evaluate everyone.
 		//lint:ignore noalloc cold resync path, runs only when the topology version moved
-		l.csr = l.cfg.G.Snapshot()
-		//lint:ignore noalloc cold resync path, partition rebuild only on topology change
-		l.part = graph.NewPartition(l.csr, len(l.shards))
+		l.resync()
 		l.addAll()
 	}
 	l.roundFull = l.fullRound || l.fullScan

@@ -376,6 +376,26 @@ func TestShardedStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// A link flip must cost what the protocol's own repair costs: removing
+// and re-adding an edge of a converged configuration patches the shared
+// snapshot in place and dirties two closed neighborhoods, allocating
+// nothing.
+func TestSetLinkPairAllocatesNothing(t *testing.T) {
+	g, _ := graph.RandomUnitDisk(1024, 0.05, rand.New(rand.NewSource(42)))
+	p := core.NewSMM()
+	f := NewFaultLockstep(p, equivCfg(p, g, 1))
+	if res := f.Lockstep().Run(g.N() + 2); !res.Stable {
+		t.Fatalf("did not stabilize: %v", res)
+	}
+	e := g.Edges()[g.M()/2]
+	if avg := testing.AllocsPerRun(20, func() {
+		f.SetLink(e, false)
+		f.SetLink(e, true)
+	}); avg != 0 {
+		t.Fatalf("SetLink remove+add allocates %v times", avg)
+	}
+}
+
 // Building the default engine and converging it must fit the allocation
 // budget the BenchmarkLarge_* gate holds it to: the engine, next, moved,
 // the shard slice, one frontier, one drain buffer, and a one-shard
