@@ -34,7 +34,7 @@ BENCH_LABEL ?= dev
 BENCH_GATE_BASE ?= bench-base.json
 BENCH_PIN ?= ^Benchmark(Large|Shard1M)_|^BenchmarkServiceMutations
 
-.PHONY: all build vet lint lint-sarif lint-diff lint-service tools test race cover bench bench-json bench-diff bench-gate bench-trend service-test load-smoke experiments experiments-quick soak soak-quick fuzz clean
+.PHONY: all build vet lint lint-sarif lint-diff lint-service tools test race cover examples bench bench-json bench-diff bench-gate bench-trend service-test load-smoke experiments experiments-quick soak soak-quick fuzz clean
 
 all: build vet lint test race
 
@@ -136,6 +136,17 @@ race:
 
 cover:
 	$(GO) test -cover ./...
+
+# examples builds every examples/* program and runs it with its default
+# flags. Each one verifies its own result and exits non-zero (log.Fatal)
+# when the verification fails; stdout is dropped, stderr kept.
+examples:
+	@rm -rf bin/examples
+	$(GO) build -o bin/examples/ ./examples/...
+	@for ex in bin/examples/*; do \
+		echo "examples: $$ex"; \
+		$$ex > /dev/null || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...

@@ -316,19 +316,6 @@ func BenchmarkClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentRound measures one goroutine-barrier round of the
-// concurrent runtime (communication overhead vs. BenchmarkRoundSMM).
-func BenchmarkConcurrentRound(b *testing.B) {
-	g := benchGraph()
-	net := NewConcurrentNetwork[core.Pointer](core.NewSMM(), g, NewSMMConfig(g).States)
-	defer net.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
-}
-
 // --- Ablations of SMM's policy choices ---
 
 // BenchmarkAblationProposeMinID / ProposeMaxID compare the two

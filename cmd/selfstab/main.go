@@ -57,6 +57,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// A loss of 1 drops every beacon, so the beacon run sees no neighbors
+	// and reports a vacuous "stable"; a jitter of 1 or more can make a
+	// beacon interval non-positive.
+	switch {
+	case *maxLag < 0:
+		logger.Printf("-lag %d: want >= 0", *maxLag)
+		return 2
+	case !(*loss >= 0 && *loss < 1): // also rejects NaN
+		logger.Printf("-loss %v: want 0 <= loss < 1", *loss)
+		return 2
+	case !(*jitter >= 0 && *jitter < 1):
+		logger.Printf("-jitter %v: want 0 <= jitter < 1", *jitter)
+		return 2
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	g, err := cli.BuildTopology(*topology, *n, *p, rng)

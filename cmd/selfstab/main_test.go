@@ -71,3 +71,34 @@ func TestRunDOTOutput(t *testing.T) {
 		t.Fatalf("DOT output missing graph header:\n%s", data)
 	}
 }
+
+// Out-of-range numeric flags are usage errors, reported before the
+// header: a negative lag would panic in the stale executor, a loss of 1
+// would report a vacuous "stable" with an empty matching, a jitter of 1
+// or more can schedule a beacon at a non-positive interval, and a
+// negative n would panic in the graph constructor.
+func TestRunRejectsOutOfRangeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-executor", "stale", "-lag", "-1"}, "-lag"},
+		{[]string{"-executor", "beacon", "-loss", "1", "-n", "16"}, "-loss"},
+		{[]string{"-executor", "beacon", "-loss", "-0.1"}, "-loss"},
+		{[]string{"-executor", "beacon", "-jitter", "1"}, "-jitter"},
+		{[]string{"-executor", "beacon", "-jitter", "-0.5"}, "-jitter"},
+		{[]string{"-n", "-3"}, "n = -3"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(tc.args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit code = %d, want 2; stdout = %q", tc.args, code, out.String())
+			continue
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: stdout = %q, want nothing", tc.args, out.String())
+		}
+		if !strings.Contains(errOut.String(), tc.flag) {
+			t.Errorf("%v: stderr = %q, want mention of %s", tc.args, errOut.String(), tc.flag)
+		}
+	}
+}

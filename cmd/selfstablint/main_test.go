@@ -49,7 +49,6 @@ func TestSuiteAcceptsSchedulerPackages(t *testing.T) {
 			"selfstab/internal/faults",
 			"selfstab/internal/sim",
 			"selfstab/internal/beacon",
-			"selfstab/internal/runtime",
 		},
 		suite(t)...)
 }

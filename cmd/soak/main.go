@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed      = fs.Int64("seed", 1, "campaign seed")
 		quick     = fs.Bool("quick", false, "CI-sized campaign (one size, one trial)")
 		protocols = fs.String("protocols", "", "comma-separated protocols (default SMM,SMI)")
-		models    = fs.String("models", "", "comma-separated models (default lockstep,runtime,beacon)")
+		models    = fs.String("models", "", "comma-separated models (default lockstep,beacon)")
 		sizes     = fs.String("sizes", "", "comma-separated node counts (default 8,12)")
 		trials    = fs.Int("trials", 0, "trials per (protocol, model, size) cell (0 = default)")
 		events    = fs.Int("events", 0, "fault events per schedule (0 = default)")

@@ -85,15 +85,17 @@ func ExampleNewBeaconNetwork() {
 	// maximal: true
 }
 
-// ExampleNewConcurrentNetwork runs SMI with one goroutine per node and
-// channels as links.
-func ExampleNewConcurrentNetwork() {
+// ExampleNewFaultLockstep runs SMI, fails a link between rounds, and
+// lets the same executor re-stabilize.
+func ExampleNewFaultLockstep() {
 	g := selfstab.Grid(3, 3)
-	net := selfstab.NewConcurrentNetwork[bool](selfstab.NewSMI(), g, make([]bool, g.N()))
+	net := selfstab.NewFaultLockstep[bool](selfstab.NewSMI(), selfstab.NewSMIConfig(g))
 	defer net.Close()
-	_, _, stable := net.Run(g.N() + 1)
+	net.Lockstep().Run(g.N() + 1)
+	net.SetLink(selfstab.NewEdge(0, 1), false)
+	res := net.Lockstep().Run(g.N() + 1)
 	mis := selfstab.SetOf(net.Config())
-	fmt.Println("stable:", stable)
+	fmt.Println("stable:", res.Stable)
 	fmt.Println("independent & dominating:", selfstab.IsMaximalIndependentSet(g, mis) == nil)
 	// Output:
 	// stable: true

@@ -2,9 +2,9 @@
 // protocol for the classical ad hoc organization task: Algorithm SMI
 // elects clusterheads (an MIS: no two heads in radio range, every host
 // hears a head) while a second self-stabilizing layer assigns every
-// other host to its maximum-ID head neighbor — all in the same rounds,
-// on the goroutine-per-node concurrent runtime. The demo then fails
-// links between epochs and shows both layers self-healing together.
+// other host to its maximum-ID head neighbor — all in the same rounds.
+// The demo then fails links between epochs and shows both layers
+// self-healing together.
 package main
 
 import (
@@ -35,12 +35,12 @@ func main() {
 	for v := range states {
 		states[v] = p.Random(selfstab.NodeID(v), g.Neighbors(selfstab.NodeID(v)), rng)
 	}
-	net := selfstab.NewConcurrentNetwork[selfstab.ClusterState](p, g, states)
+	net := selfstab.NewFaultLockstep[selfstab.ClusterState](p, selfstab.Config[selfstab.ClusterState]{G: g, States: states})
 	defer net.Close()
 
 	for epoch := 0; epoch < *rounds; epoch++ {
-		r, _, stable := net.Run(g.N() + 4)
-		if !stable {
+		res := net.Lockstep().Run(g.N() + 4)
+		if !res.Stable {
 			log.Fatalf("epoch %d: election did not stabilize", epoch)
 		}
 		cfg := net.Config()
@@ -57,12 +57,17 @@ func main() {
 			log.Fatalf("epoch %d: invalid assignment: %v", epoch, err)
 		}
 		fmt.Printf("epoch %d: %d clusterheads elected and assigned in %d rounds\n",
-			epoch, len(heads), r)
+			epoch, len(heads), res.Rounds)
 		printClusters(cfg.States, heads)
 
 		if epoch < *rounds-1 {
-			events := selfstab.NewChurn(g, rng).Apply(*churn)
-			net.ApplyEvents(events)
+			// Churn edits the graph it is given, so it draws on a copy;
+			// SetLink then makes each flip on g and nulls any member's
+			// head pointer across a lost link.
+			events := selfstab.NewChurn(g.Clone(), rng).Apply(*churn)
+			for _, ev := range events {
+				net.SetLink(ev.Edge, ev.Add)
+			}
 			fmt.Printf("  mobility: %v\n", events)
 		}
 	}

@@ -1,6 +1,7 @@
 package selfstab
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -51,18 +52,21 @@ func TestIntegrationMobileBeaconSMM(t *testing.T) {
 	}
 }
 
-// TestIntegrationConcurrentChurnSMI drives the goroutine runtime through
-// repeated churn epochs, verifying the MIS each time.
+// TestIntegrationConcurrentChurnSMI drives SMI through repeated churn
+// epochs, verifying the MIS each time. Links flip through SetLink and
+// each epoch resumes with ConvergeCtx, which evaluates only what the
+// flips marked (DirtyEdge) — the path the service takes for a link
+// mutation.
 func TestIntegrationConcurrentChurnSMI(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := RandomConnected(25, 0.12, rng)
-	net := NewConcurrentNetwork[bool](NewSMI(), g, make([]bool, g.N()))
+	net := NewFaultLockstep[bool](NewSMI(), NewSMIConfig(g))
 	defer net.Close()
 
 	for epoch := 0; epoch < 10; epoch++ {
-		rounds, _, stable := net.Run(g.N() + 2)
-		if !stable {
-			t.Fatalf("epoch %d: unstable after %d rounds", epoch, rounds)
+		res, err := net.Lockstep().ConvergeCtx(context.Background(), g.N()+2)
+		if err != nil || !res.Stable {
+			t.Fatalf("epoch %d: %v (err %v)", epoch, res, err)
 		}
 		mis := SetOf(net.Config())
 		if err := IsMaximalIndependentSet(g, mis); err != nil {
@@ -71,7 +75,17 @@ func TestIntegrationConcurrentChurnSMI(t *testing.T) {
 		if err := IsMinimalDominatingSet(g, mis); err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
 		}
-		net.ApplyEvents(NewChurn(g, rng).Apply(3))
+		churnLinks(net, g, rng, 3)
+	}
+}
+
+// churnLinks draws k connectivity-preserving link events and replays
+// them through SetLink. Churn edits the graph it is given, so it draws
+// on a copy: run on g itself, every flip would already be made and
+// SetLink would neither repair nor mark anything.
+func churnLinks[S comparable](net *FaultLockstep[S], g *Graph, rng *rand.Rand, k int) {
+	for _, ev := range NewChurn(g.Clone(), rng).Apply(k) {
+		net.SetLink(ev.Edge, ev.Add)
 	}
 }
 
@@ -110,9 +124,9 @@ func TestIntegrationSpanningTreeUnderBeacons(t *testing.T) {
 	}
 }
 
-// TestSoakMobilityEpochs is the endurance run: 200 churn epochs against
-// the concurrent runtime with verification after every epoch. Skipped
-// under -short.
+// TestSoakMobilityEpochs is the endurance run: 200 churn epochs of SMM
+// through SetLink and ConvergeCtx, with verification after every epoch.
+// Skipped under -short.
 func TestSoakMobilityEpochs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -125,17 +139,17 @@ func TestSoakMobilityEpochs(t *testing.T) {
 	for v := range states {
 		states[v] = p.Random(NodeID(v), g.Neighbors(NodeID(v)), srng)
 	}
-	net := NewConcurrentNetwork[Pointer](p, g, states)
+	net := NewFaultLockstep[Pointer](p, Config[Pointer]{G: g, States: states})
 	defer net.Close()
 	for epoch := 0; epoch < 200; epoch++ {
-		rounds, _, stable := net.Run(g.N() + 2)
-		if !stable {
-			t.Fatalf("epoch %d: unstable after %d rounds", epoch, rounds)
+		res, err := net.Lockstep().ConvergeCtx(context.Background(), g.N()+2)
+		if err != nil || !res.Stable {
+			t.Fatalf("epoch %d: %v (err %v)", epoch, res, err)
 		}
 		if err := IsMaximalMatching(g, MatchingOf(net.Config())); err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
 		}
-		net.ApplyEvents(NewChurn(g, rng).Apply(1 + rng.Intn(4)))
+		churnLinks(net, g, rng, 1+rng.Intn(4))
 	}
 }
 

@@ -21,8 +21,9 @@
 // Calls are handled interprocedurally: each function's set of possibly
 // acquired classes is summarized (to a fixpoint within the package,
 // through exported object facts across packages), and calling a
-// function that acquires B while holding A records A→B — this is how an
-// edge in internal/runtime orders itself against one in internal/soak.
+// function that acquires B while holding A records A→B — this is how a
+// lock held in one package orders itself against one a callee in
+// another package acquires.
 package lockorder
 
 import (

@@ -13,7 +13,6 @@ import (
 	"selfstab/internal/core"
 	"selfstab/internal/graph"
 	"selfstab/internal/protocols"
-	"selfstab/internal/runtime"
 	"selfstab/internal/sim"
 	"selfstab/internal/trace"
 	"selfstab/internal/viz"
@@ -25,6 +24,9 @@ var TopologyNames = []string{"path", "cycle", "complete", "star", "grid", "tree"
 // BuildTopology constructs the named topology on n nodes. p is the edge
 // probability for gnp, the radius hint for disk, and ignored elsewhere.
 func BuildTopology(name string, n int, p float64, rng *rand.Rand) (*graph.Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("cli: n = %d, want n >= 0", n)
+	}
 	switch name {
 	case "path":
 		return graph.Path(n), nil
@@ -70,7 +72,7 @@ func BuildTopology(name string, n int, p float64, rng *rand.Rand) (*graph.Graph,
 var ProtocolNames = []string{"smm", "smi", "smm-arbitrary", "hsuhuang", "refined-hh", "coloring", "randmis", "tree", "clustering"}
 
 // ExecutorNames lists the accepted -executor values.
-var ExecutorNames = []string{"lockstep", "beacon", "runtime", "stale"}
+var ExecutorNames = []string{"lockstep", "beacon", "stale"}
 
 // TrialOptions configures one RunTrial call.
 type TrialOptions struct {
@@ -241,12 +243,6 @@ func runPointerTrial(g *graph.Graph, opt TrialOptions, limit int, rng *rand.Rand
 		res := net.Run(float64(4*limit), 6)
 		return fmt.Sprintf("seed %d: %v, matching %d", opt.Seed, res,
 			len(core.MatchingOf(net.Config()))), nil
-	case "runtime":
-		net := runtime.New[core.Pointer](p, g.Clone(), states)
-		defer net.Close()
-		rounds, moves, stable := net.Run(limit)
-		return fmt.Sprintf("seed %d: rounds=%d moves=%d stable=%v, matching %d",
-			opt.Seed, rounds, moves, stable, len(core.MatchingOf(net.Config()))), nil
 	case "stale":
 		cfg := core.Config[core.Pointer]{G: g, States: states}
 		l := sim.NewStaleLockstep[core.Pointer](p, cfg, opt.MaxLag, rng)
@@ -302,12 +298,6 @@ func runSMITrial(g *graph.Graph, opt TrialOptions, limit int, rng *rand.Rand) (s
 		net := beacon.NewNetwork[bool](p, g.Clone(), states, prm, rng)
 		res := net.Run(float64(4*limit), 6)
 		return fmt.Sprintf("seed %d: %v, |S|=%d", opt.Seed, res, len(core.SetOf(net.Config()))), nil
-	case "runtime":
-		net := runtime.New[bool](p, g.Clone(), states)
-		defer net.Close()
-		rounds, moves, stable := net.Run(limit)
-		return fmt.Sprintf("seed %d: rounds=%d moves=%d stable=%v, |S|=%d",
-			opt.Seed, rounds, moves, stable, len(core.SetOf(net.Config()))), nil
 	case "stale":
 		cfg := core.Config[bool]{G: g, States: states}
 		l := sim.NewStaleLockstep[bool](p, cfg, opt.MaxLag, rng)

@@ -21,6 +21,9 @@ func TestBuildTopologyAllNames(t *testing.T) {
 		if err := graph.Validate(g); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if _, err := BuildTopology(name, -1, 0.2, rng); err == nil {
+			t.Fatalf("%s: n = -1 accepted", name)
+		}
 	}
 	if _, err := BuildTopology("moebius", 10, 0, rng); err == nil {
 		t.Fatal("unknown topology accepted")

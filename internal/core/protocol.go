@@ -10,9 +10,9 @@
 // round every node receives the round-t states of all its neighbors and
 // simultaneously computes its round-t+1 state by applying the first
 // enabled rule. A protocol here is therefore a pure function from a local
-// view (own state plus neighbor states) to the next state. Executors — the
-// lockstep simulator, the discrete-event beacon simulator, and the
-// goroutine-per-node runtime — differ only in how they deliver the view.
+// view (own state plus neighbor states) to the next state. The two
+// executors — the lockstep simulator and the discrete-event beacon
+// simulator — differ only in how they deliver the view.
 package core
 
 import (

@@ -11,7 +11,6 @@ import (
 	"selfstab/internal/core"
 	"selfstab/internal/faults"
 	"selfstab/internal/graph"
-	"selfstab/internal/runtime"
 	"selfstab/internal/sim"
 )
 
@@ -136,42 +135,49 @@ func TestZeroFaultClosure(t *testing.T) {
 		rep := faults.RunSchedule[core.Pointer](core.NewSMM(), tc.target, sched, faults.SMMChecker, faults.Options{})
 		tc.target.Close()
 		if rep.Failed() {
-			t.Errorf("%s: %v", tc.target.Model(), rep.Failures)
+			t.Errorf("%s: %v", tc.name, rep.Failures)
 		}
 		if rep.ClosureViolations != 0 {
-			t.Errorf("%s: %d closure violations from a legitimate fixed point", tc.target.Model(), rep.ClosureViolations)
+			t.Errorf("%s: %d closure violations from a legitimate fixed point", tc.name, rep.ClosureViolations)
 		}
 		if len(rep.Epochs) != 1 || rep.Epochs[0].Kind != faults.Init {
-			t.Errorf("%s: epochs = %+v, want exactly the Init epoch", tc.target.Model(), rep.Epochs)
+			t.Errorf("%s: epochs = %+v, want exactly the Init epoch", tc.name, rep.Epochs)
 		}
 		if !rep.Epochs[0].Legitimate {
-			t.Errorf("%s: Init epoch not legitimate: %s", tc.target.Model(), rep.Epochs[0].CheckErr)
+			t.Errorf("%s: Init epoch not legitimate: %s", tc.name, rep.Epochs[0].CheckErr)
 		}
 	}
 }
 
 type modelTarget struct {
+	name   string
 	target faults.Target[core.Pointer]
 }
 
-// modelTargets builds all three execution models over the 8-path with
-// the given initial states (copied per model).
+// modelTargets builds the targets of both execution models over the
+// path on len(states) nodes, each with its own copy of the given
+// initial states: lockstep on the frontier engine and on the full-scan
+// reference, and beacon.
 func modelTargets(t *testing.T, seed int64, states []core.Pointer) []modelTarget {
 	t.Helper()
 	mk := func() []core.Pointer { return append([]core.Pointer(nil), states...) }
-	lock := sim.NewFaultLockstep[core.Pointer](core.NewSMM(), core.Config[core.Pointer]{G: pathGraph(len(states)), States: mk()})
-	run := runtime.NewFaultNetwork[core.Pointer](core.NewSMM(), pathGraph(len(states)), mk())
+	cfg := func() core.Config[core.Pointer] {
+		return core.Config[core.Pointer]{G: pathGraph(len(states)), States: mk()}
+	}
+	lock := sim.NewFaultLockstep[core.Pointer](core.NewSMM(), cfg())
+	ref := sim.NewReferenceFaultLockstep[core.Pointer](core.NewSMM(), cfg())
 	bcn := beacon.NewFaultNetwork[core.Pointer](core.NewSMM(), pathGraph(len(states)), mk(),
 		beacon.DefaultParams(), rand.New(rand.NewSource(seed)))
-	return []modelTarget{{lock}, {run}, {bcn}}
+	return []modelTarget{{"lockstep", lock}, {"reference", ref}, {"beacon", bcn}}
 }
 
 // TestRecoveryAllModels is the acceptance check for cross-model replay:
-// one generated schedule covering every fault kind replays on lockstep,
-// beacon, and runtime, and the recovery monitor confirms every epoch —
-// in particular every SMM epoch — re-converges within the paper's
-// bound (BoundFactor 1, BoundSlack 1 ⇒ n+1 rounds plus the model's
-// detection lag and the fault's own duration).
+// one generated schedule covering every fault kind replays on lockstep
+// (frontier and full-scan reference) and on beacon, and the recovery
+// monitor confirms every epoch — in particular every SMM epoch —
+// re-converges within the paper's bound (BoundFactor 1, BoundSlack 1 ⇒
+// n+1 rounds plus the model's detection lag and the fault's own
+// duration).
 func TestRecoveryAllModels(t *testing.T) {
 	const n = 8
 	states := make([]core.Pointer, n)
@@ -187,19 +193,19 @@ func TestRecoveryAllModels(t *testing.T) {
 		rep := faults.RunSchedule[core.Pointer](core.NewSMM(), tc.target, sched, faults.SMMChecker, faults.Options{})
 		tc.target.Close()
 		if rep.Failed() {
-			t.Errorf("%s: %v", tc.target.Model(), rep.Failures)
+			t.Errorf("%s: %v", tc.name, rep.Failures)
 		}
 		for _, ep := range rep.Epochs {
 			if ep.Converged && !ep.WithinBound {
-				t.Errorf("%s: epoch %d (%s) took %d rounds, bound %d", tc.target.Model(), ep.Index, ep.Desc, ep.Rounds, ep.Bound)
+				t.Errorf("%s: epoch %d (%s) took %d rounds, bound %d", tc.name, ep.Index, ep.Desc, ep.Rounds, ep.Bound)
 			}
 		}
 		reports = append(reports, rep)
 	}
-	// Lockstep and runtime are bulk-synchronous with identical
-	// semantics: their epoch accounts must agree exactly.
+	// Frontier scheduling is never observable: the frontier engine and
+	// the full scan must produce identical epoch accounts.
 	if !reflect.DeepEqual(reports[0].Epochs, reports[1].Epochs) {
-		t.Errorf("lockstep and runtime epoch reports diverge:\n%+v\n--\n%+v", reports[0].Epochs, reports[1].Epochs)
+		t.Errorf("frontier and reference lockstep epoch reports diverge:\n%+v\n--\n%+v", reports[0].Epochs, reports[1].Epochs)
 	}
 	// The beacon model shares the logical schedule: same epochs, same
 	// kinds, in the same order.

@@ -19,9 +19,9 @@ type overlayPin[S comparable] struct {
 }
 
 // Overlay pins stale per-link state views on top of an otherwise fresh
-// executor. It is how the round-based executors (lockstep, runtime)
-// realize beacon-loss bursts (Drop) and neighbor-table staleness
-// (Stale): the underlying link stays up, but for a bounded number of
+// executor. It is how the round-based lockstep executor realizes
+// beacon-loss bursts (Drop) and neighbor-table staleness (Stale): the
+// underlying link stays up, but for a bounded number of
 // rounds the viewer keeps reading the state it last heard — exactly the
 // effect of losing the neighbor's beacons while the discovery timeout
 // has not yet expired. The beacon executor does not need it; it models

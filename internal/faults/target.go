@@ -6,10 +6,10 @@ import (
 )
 
 // Target is the single hook interface through which the engine injects
-// faults into an execution model. All three executors implement it —
-// sim.Lockstep via FaultLockstep, beacon.Network via FaultNetwork, and
-// runtime.Network via its Faults adapter — so one Schedule replays,
-// fault for fault and round for round, on every model.
+// faults into an execution model. Both executors implement it —
+// sim.Lockstep via FaultLockstep and beacon.Network via FaultNetwork —
+// so one Schedule replays, fault for fault and round for round, on
+// every model.
 //
 // The methods split into three groups: injection primitives the engine
 // composes high-level faults from (WriteState, SetLink, DropLink,
@@ -21,7 +21,7 @@ import (
 // Implementations need not be safe for concurrent use: the engine is
 // strictly sequential — inject, Step, observe.
 type Target[S comparable] interface {
-	// Model names the execution model ("lockstep", "beacon", "runtime").
+	// Model names the execution model ("lockstep" or "beacon").
 	Model() string
 
 	// Topology returns the live topology. The engine treats it as

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"selfstab/internal/beacon"
-	"selfstab/internal/runtime"
 	"selfstab/internal/sim"
 )
 
@@ -27,11 +26,9 @@ func TestExperimentTablesByteIdenticalAcrossEngines(t *testing.T) {
 	frontier := render()
 
 	sim.SetReferenceScan(true)
-	runtime.SetReferenceScan(true)
 	beacon.SetReferenceScan(true)
 	defer func() {
 		sim.SetReferenceScan(false)
-		runtime.SetReferenceScan(false)
 		beacon.SetReferenceScan(false)
 	}()
 	reference := render()

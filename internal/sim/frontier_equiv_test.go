@@ -249,6 +249,21 @@ func TestUnhookedEditBeforeHookedFlipIsEvaluated(t *testing.T) {
 	}
 }
 
+// A lost link repairs the pointers across it: SetLink removing a
+// matched pair's edge leaves both endpoints Null, so the isolated pair
+// is already quiet.
+func TestApplyEventsRepairsPointers(t *testing.T) {
+	cfg := core.Config[core.Pointer]{G: graph.Path(2), States: []core.Pointer{core.PointAt(1), core.PointAt(0)}}
+	f := NewFaultLockstep[core.Pointer](core.NewSMM(), cfg)
+	f.SetLink(graph.NewEdge(0, 1), false)
+	if cfg.States[0] != core.Null || cfg.States[1] != core.Null {
+		t.Fatalf("states after link loss: %v", cfg.States)
+	}
+	if moved := f.Step(); moved != 0 {
+		t.Fatalf("isolated pair still active: %d moved", moved)
+	}
+}
+
 // Two frontier engines share one graph, and every flip goes through the
 // first one's fault adapter: its DirtyEdge advances the graph's shared
 // snapshot in place, under the second engine, which heard of no edit.

@@ -79,8 +79,8 @@ func (f *filteredViewer[S]) read(j graph.NodeID) S {
 }
 
 // Lockstep runs one protocol on one configuration in lockstep rounds.
-// It is the reference semantics the beacon simulator and the concurrent
-// runtime are validated against.
+// It is the reference semantics the beacon simulator is validated
+// against.
 type Lockstep[S comparable] struct {
 	p      core.Protocol[S]
 	cfg    core.Config[S]

@@ -3,7 +3,9 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"selfstab/internal/core"
 	"selfstab/internal/faults"
@@ -167,6 +169,65 @@ func TestParallelRandomizedProtocolRaceFree(t *testing.T) {
 	}
 	if err := verify.IsMaximalIndependentSet(g, core.SetOf(cfg)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Close reaps the worker pool of an engine abandoned mid-run: pooled
+// four-shard engines take a few rounds, nowhere near convergence, and
+// once closed the process must return to its baseline goroutine count.
+func TestCloseReleasesNodeGoroutines(t *testing.T) {
+	old := shardParallelMin
+	shardParallelMin = 1
+	defer func() { shardParallelMin = old }()
+
+	baseline := runtime.NumGoroutine()
+	for trial := 0; trial < 3; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		g := graph.RandomConnected(30, 0.2, rng)
+		p := core.NewSMM()
+		l := NewShardedLockstep[core.Pointer](p, equivCfg[core.Pointer](p, g, int64(trial)), 4)
+		for i := 0; i < 3; i++ {
+			l.Step()
+		}
+		if l.workCh == nil {
+			t.Fatal("pooled engine spawned no workers")
+		}
+		l.Close()
+	}
+	awaitGoroutines(t, baseline)
+}
+
+// Close may be called twice, on a pooled engine and on a single-shard
+// one that never spawned a pool, and still reaps every worker.
+func TestCloseIdempotent(t *testing.T) {
+	old := shardParallelMin
+	shardParallelMin = 1
+	defer func() { shardParallelMin = old }()
+
+	baseline := runtime.NumGoroutine()
+	for _, k := range []int{1, 4} {
+		l := NewShardedLockstep[bool](core.NewSMI(), core.NewConfig[bool](graph.Path(8)), k)
+		for i := 0; i < 3; i++ {
+			l.Step()
+		}
+		l.Close()
+		l.Close() // must not panic or deadlock
+	}
+	awaitGoroutines(t, baseline)
+}
+
+// awaitGoroutines waits up to 5 s for the goroutine count to fall back
+// to baseline, then fails with every goroutine's stack.
+func awaitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: %d > baseline %d\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"selfstab/internal/beacon"
-	"selfstab/internal/runtime"
 	"selfstab/internal/sim"
 )
 
@@ -25,11 +24,9 @@ func TestSoakReportByteIdenticalAcrossEngines(t *testing.T) {
 	frontier := campaign()
 
 	sim.SetReferenceScan(true)
-	runtime.SetReferenceScan(true)
 	beacon.SetReferenceScan(true)
 	defer func() {
 		sim.SetReferenceScan(false)
-		runtime.SetReferenceScan(false)
 		beacon.SetReferenceScan(false)
 	}()
 	reference := campaign()

@@ -19,7 +19,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	goruntime "runtime"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -28,14 +28,13 @@ import (
 	"selfstab/internal/faults"
 	"selfstab/internal/graph"
 	"selfstab/internal/harness"
-	"selfstab/internal/runtime"
 	"selfstab/internal/sim"
 )
 
 // Protocol and model names accepted by Options.
 var (
 	AllProtocols = []string{"SMM", "SMI"}
-	AllModels    = []string{"lockstep", "runtime", "beacon"}
+	AllModels    = []string{"lockstep", "beacon"}
 )
 
 // Options scopes a campaign.
@@ -88,7 +87,7 @@ func (o Options) withDefaults() Options {
 		o.EdgeP = 0.3
 	}
 	if o.Workers <= 0 {
-		o.Workers = goruntime.NumCPU()
+		o.Workers = runtime.NumCPU()
 	}
 	if o.ShrinkRuns <= 0 {
 		o.ShrinkRuns = 256
@@ -165,9 +164,9 @@ func Run(opt Options, out io.Writer) (int, error) {
 	}
 	for _, m := range opt.Models {
 		switch m {
-		case "lockstep", "runtime", "beacon":
+		case "lockstep", "beacon":
 		default:
-			return 0, fmt.Errorf("soak: unknown model %q (have lockstep, runtime, beacon)", m)
+			return 0, fmt.Errorf("soak: unknown model %q (have lockstep, beacon)", m)
 		}
 	}
 	for _, n := range opt.Sizes {
@@ -268,8 +267,6 @@ func newTarget[S comparable](model string, p core.Protocol[S], g *graph.Graph, s
 		cfg := core.NewConfig[S](g)
 		copy(cfg.States, states)
 		return sim.NewFaultLockstep(p, cfg)
-	case "runtime":
-		return runtime.NewFaultNetwork(p, g, states)
 	case "beacon":
 		rng := rand.New(rand.NewSource(beaconSeed))
 		return beacon.NewFaultNetwork(p, g, states, beacon.DefaultParams(), rng)

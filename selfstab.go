@@ -3,9 +3,9 @@
 // sets (Algorithm SMI) for ad hoc networks of Goddard, Hedetniemi, Jacobs
 // and Srimani (IPDPS 2003), together with the full substrate the paper's
 // system model assumes: the synchronous beacon-round executor, a
-// discrete-event beacon/link-layer simulator, a goroutine-per-node
-// concurrent runtime, mobility models, classical daemon schedulers, the
-// Hsu–Huang baseline, and the verification oracles for every predicate.
+// discrete-event beacon/link-layer simulator, mobility models, classical
+// daemon schedulers, the Hsu–Huang baseline, and the verification
+// oracles for every predicate.
 //
 // # Quick start
 //
@@ -15,8 +15,8 @@
 //
 // The executors all consume the same Protocol interface, so a protocol
 // written once runs on the deterministic lockstep simulator, under the
-// asynchronous beacon layer, on real goroutines, or under a classical
-// central/distributed daemon.
+// asynchronous beacon layer, or under a classical central/distributed
+// daemon.
 //
 // This package is a curated facade over the implementation packages; the
 // names it exports are aliases, so values flow freely between the facade
@@ -35,7 +35,6 @@ import (
 	"selfstab/internal/mobility"
 	"selfstab/internal/modelcheck"
 	"selfstab/internal/protocols"
-	"selfstab/internal/runtime"
 	"selfstab/internal/sim"
 	"selfstab/internal/verify"
 )
@@ -196,12 +195,15 @@ func NewBeaconNetwork[S comparable](p Protocol[S], g *Graph, states []S, prm Bea
 // DefaultBeaconParams returns a loss-free low-delay link layer.
 var DefaultBeaconParams = beacon.DefaultParams
 
-// ConcurrentNetwork runs one goroutine per node with channels as links.
-type ConcurrentNetwork[S comparable] = runtime.Network[S]
+// FaultLockstep is a Lockstep whose topology and states can be changed
+// between rounds: SetLink flips a link and, on a lost link, repairs the
+// states of both endpoints that pointed across it.
+type FaultLockstep[S comparable] = sim.FaultLockstep[S]
 
-// NewConcurrentNetwork starts the node goroutines; callers must Close it.
-func NewConcurrentNetwork[S comparable](p Protocol[S], g *Graph, states []S) *ConcurrentNetwork[S] {
-	return runtime.New[S](p, g, states)
+// NewFaultLockstep wraps a protocol over a configuration (used in
+// place); callers must Close it.
+func NewFaultLockstep[S comparable](p Protocol[S], cfg Config[S]) *FaultLockstep[S] {
+	return sim.NewFaultLockstep[S](p, cfg)
 }
 
 // Daemon scheduling (classical execution models).

@@ -59,11 +59,10 @@ func TestFacadeConfigsAndExecutors(t *testing.T) {
 func TestFacadeConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := RandomConnected(12, 0.25, rng)
-	net := NewConcurrentNetwork[Pointer](NewSMM(), g, NewSMMConfig(g).States)
+	net := NewFaultLockstep[Pointer](NewSMM(), NewSMMConfig(g))
 	defer net.Close()
-	rounds, _, stable := net.Run(g.N() + 2)
-	if !stable {
-		t.Fatalf("not stable after %d rounds", rounds)
+	if res := net.Lockstep().Run(g.N() + 2); !res.Stable {
+		t.Fatalf("%v", res)
 	}
 	if err := IsMaximalMatching(g, MatchingOf(net.Config())); err != nil {
 		t.Fatal(err)
