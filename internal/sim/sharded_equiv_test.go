@@ -216,6 +216,37 @@ func TestCloseIdempotent(t *testing.T) {
 	awaitGoroutines(t, baseline)
 }
 
+// The unhooked-edit-then-hooked-flip window of
+// TestUnhookedEditBeforeHookedFlipIsEvaluated, on a pooled four-shard
+// fault executor driven round by round: each shard holds one node, so
+// the edge made straight on the graph crosses shards that heard of no
+// edit, and the pool must still evaluate both of its endpoints.
+func TestUnhookedEditBeforeHookedFlipIsEvaluatedSharded(t *testing.T) {
+	old := shardParallelMin
+	shardParallelMin = 1
+	defer func() { shardParallelMin = old }()
+
+	g := graph.New(4)
+	f := NewShardedFaultLockstep[bool](core.NewSMI(), core.NewConfig[bool](g), 4)
+	defer f.Close()
+	if res := f.Lockstep().Run(10); !res.Stable {
+		t.Fatalf("did not stabilize: %v", res)
+	}
+	g.AddEdge(0, 1)
+	f.SetLink(graph.NewEdge(2, 3), true)
+	for r := 0; f.Step() > 0; r++ {
+		if r == 10 {
+			t.Fatal("did not quiesce")
+		}
+	}
+	if f.Lockstep().workCh == nil {
+		t.Fatal("pooled engine spawned no workers")
+	}
+	if err := verify.IsMaximalIndependentSet(g, core.SetOf(f.Config())); err != nil {
+		t.Fatalf("quiet but not legitimate: %v", err)
+	}
+}
+
 // awaitGoroutines waits up to 5 s for the goroutine count to fall back
 // to baseline, then fails with every goroutine's stack.
 func awaitGoroutines(t *testing.T, baseline int) {
