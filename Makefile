@@ -34,7 +34,7 @@ BENCH_LABEL ?= dev
 BENCH_GATE_BASE ?= bench-base.json
 BENCH_PIN ?= ^Benchmark(Large|Shard1M)_|^BenchmarkServiceMutations
 
-.PHONY: all build vet lint lint-sarif lint-diff lint-service tools test race cover examples bench bench-json bench-diff bench-gate bench-trend service-test load-smoke experiments experiments-quick soak soak-quick fuzz clean
+.PHONY: all build vet lint lint-sarif lint-diff lint-service tools test race cover examples bench-smoke bench bench-json bench-diff bench-gate bench-trend service-test load-smoke experiments experiments-quick soak soak-quick fuzz clean
 
 all: build vet lint test race
 
@@ -42,7 +42,7 @@ build:
 	$(GO) build ./...
 
 # vet also fails when gofmt would change any tracked Go file of this
-# module (bench/ is a module of its own, vetted by hand).
+# module (bench/ is a module of its own, checked by bench-smoke).
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(git ls-files -z -- '*.go' ':!bench' | xargs -0 -r $(GOFMT) -l); \
@@ -147,6 +147,12 @@ examples:
 		echo "examples: $$ex"; \
 		$$ex > /dev/null || exit 1; \
 	done
+
+# bench-smoke vets and unit-tests the end-to-end benchmark module in
+# bench/, which links this module's engine, fault and service packages
+# through a replace directive.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...

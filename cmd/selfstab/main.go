@@ -61,6 +61,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// and reports a vacuous "stable"; a jitter of 1 or more can make a
 	// beacon interval non-positive.
 	switch {
+	case *trials < 1:
+		logger.Printf("-trials %d: want >= 1", *trials)
+		return 2
+	case *maxRounds < 0:
+		logger.Printf("-max-rounds %d: want >= 0 (0 = protocol-derived default)", *maxRounds)
+		return 2
 	case *maxLag < 0:
 		logger.Printf("-lag %d: want >= 0", *maxLag)
 		return 2
@@ -69,6 +75,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	case !(*jitter >= 0 && *jitter < 1):
 		logger.Printf("-jitter %v: want 0 <= jitter < 1", *jitter)
+		return 2
+	}
+	if err := cli.CheckExecutor(*protocol, *executor); err != nil {
+		logger.Print(err)
 		return 2
 	}
 

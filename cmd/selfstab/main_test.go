@@ -72,11 +72,14 @@ func TestRunDOTOutput(t *testing.T) {
 	}
 }
 
-// Out-of-range numeric flags are usage errors, reported before the
-// header: a negative lag would panic in the stale executor, a loss of 1
-// would report a vacuous "stable" with an empty matching, a jitter of 1
-// or more can schedule a beacon at a non-positive interval, and a
-// negative n would panic in the graph constructor.
+// Out-of-range flags are usage errors, reported before the header: a
+// negative lag would panic in the stale executor, a loss of 1 would
+// report a vacuous "stable" with an empty matching, a jitter of 1 or
+// more can schedule a beacon at a non-positive interval, a negative n
+// would panic in the graph constructor, a negative round limit would
+// report "NOT stable after 0 rounds", zero trials would print only the
+// header, and an executor that cannot run the protocol would run
+// lockstep under its name or fail after the header.
 func TestRunRejectsOutOfRangeFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -88,6 +91,18 @@ func TestRunRejectsOutOfRangeFlags(t *testing.T) {
 		{[]string{"-executor", "beacon", "-jitter", "1"}, "-jitter"},
 		{[]string{"-executor", "beacon", "-jitter", "-0.5"}, "-jitter"},
 		{[]string{"-n", "-3"}, "n = -3"},
+		{[]string{"-max-rounds", "-1"}, "-max-rounds"},
+		{[]string{"-trials", "0"}, "-trials"},
+		{[]string{"-executor", "quantum"}, "quantum"},
+		{[]string{"-protocol", "coloring", "-executor", "quantum"}, "quantum"},
+		{[]string{"-protocol", "coloring", "-executor", "beacon"}, "lockstep"},
+		{[]string{"-protocol", "refined-hh", "-executor", "stale"}, "lockstep"},
+		{[]string{"-protocol", "randmis", "-executor", "beacon"}, "lockstep"},
+		{[]string{"-protocol", "tree", "-executor", "stale"}, "lockstep"},
+		{[]string{"-protocol", "clustering", "-executor", "beacon"}, "lockstep"},
+		{[]string{"-topology", "gnp", "-p", "2"}, "-p"},
+		{[]string{"-topology", "disk", "-p", "0"}, "-p"},
+		{[]string{"-topology", "barbell", "-n", "3"}, "barbell"},
 	} {
 		var out, errOut strings.Builder
 		if code := run(tc.args, &out, &errOut); code != 2 {

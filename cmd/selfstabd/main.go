@@ -61,7 +61,6 @@ func run(args []string, out, errw io.Writer, sig <-chan os.Signal) int {
 	shards := fs.Int("shards", 0, "executor shards per tenant (0 or 1 = single-threaded)")
 	maxTenants := fs.Int("max-tenants", 0, "tenant cap (0 = default)")
 	segmentBytes := fs.Int64("segment-bytes", 0, "journal segment rotation threshold in bytes (0 = default 4MiB)")
-	fsyncEach := fs.Bool("fsync-each", false, "fsync every journal entry individually instead of group-committing batches")
 	chaos := fs.Bool("chaos", false, "enable the chaos_panic fault-injection op")
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown budget before hard kill")
 	if err := fs.Parse(args); err != nil {
@@ -83,7 +82,6 @@ func run(args []string, out, errw io.Writer, sig <-chan os.Signal) int {
 		Shards:        *shards,
 		MaxTenants:    *maxTenants,
 		SegmentBytes:  *segmentBytes,
-		FsyncEach:     *fsyncEach,
 		EnableChaos:   *chaos,
 	})
 	if err != nil {

@@ -9,7 +9,7 @@
 //	exhaustive   — switches over enum-like constant sets cover every member
 //	lockorder    — the cross-package mutex acquisition order is acyclic
 //	noalloc      — //selfstab:noalloc functions perform no heap allocation
-//	shardsafe    — ShardKernel commit/mark phases honor shard write ownership
+//	shardsafe    — core.Kernel commit/mark phases honor shard write ownership
 //	walorder     — //selfstab:durable mutations are journal-dominated; snapshots are atomic
 //	singlewriter — //selfstab:owner fields are touched only from the owning event loop
 //	ctxflow      — ctx threads through request paths; durability errors are consumed

@@ -95,8 +95,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	case "edges":
 		fmt.Fprintf(out, "# %s n=%d m=%d\n", *topology, g.N(), g.M())
-		for _, e := range g.Edges() {
-			fmt.Fprintf(out, "%d %d\n", e.U, e.V)
+		if err := graph.WriteEdgeList(out, g); err != nil {
+			logger.Print(err)
+			return 1
 		}
 	default:
 		logger.Printf("unknown format %q", *format)

@@ -3,19 +3,30 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"selfstab/internal/graph"
 )
 
+// The edge list is graph.WriteEdgeList's interchange format behind one
+// comment line, so graph.ReadEdgeList reads it back.
 func TestRunEdgeList(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-topology", "cycle", "-n", "6", "-format", "edges"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit code = %d, stderr = %q", code, errOut.String())
 	}
 	got := out.String()
-	if !strings.Contains(got, "# cycle n=6 m=6") {
+	if !strings.HasPrefix(got, "# cycle n=6 m=6\n") {
 		t.Fatalf("edge list missing header:\n%s", got)
 	}
-	if lines := strings.Count(got, "\n"); lines != 7 { // header + 6 edges
-		t.Fatalf("edge list has %d lines, want 7:\n%s", lines, got)
+	if lines := strings.Count(got, "\n"); lines != 8 { // comment + node count + 6 edges
+		t.Fatalf("edge list has %d lines, want 8:\n%s", lines, got)
+	}
+	g, err := graph.ReadEdgeList(strings.NewReader(got))
+	if err != nil {
+		t.Fatalf("ReadEdgeList: %v\n%s", err, got)
+	}
+	if !g.Equal(graph.Cycle(6)) {
+		t.Fatalf("read back %v, want %v", g, graph.Cycle(6))
 	}
 }
 

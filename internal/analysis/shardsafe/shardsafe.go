@@ -1,6 +1,6 @@
-// Package shardsafe checks the ShardKernel phase discipline that makes
-// the 4-phase sharded barrier round race-free and byte-identical to the
-// reference scan.
+// Package shardsafe checks the commit/mark phase discipline of
+// core.Kernel that makes the 4-phase sharded barrier round race-free
+// and byte-identical to the reference scan.
 //
 // The sharded executor hands each worker a batch of node IDs drawn from
 // its own contiguous owned range. Soundness rests on two write rules:
@@ -41,7 +41,7 @@ import (
 func New() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "shardsafe",
-		Doc:  "check ShardKernel CommitBatch/MarkBatch write-ownership and phase discipline",
+		Doc:  "check core.Kernel CommitBatch/MarkBatch write-ownership and phase discipline",
 		Run:  run,
 	}
 }
@@ -94,7 +94,7 @@ func run(pass *lint.Pass) (any, error) {
 	return nil, nil
 }
 
-// matchKernel recognizes a ShardKernel phase method by name and
+// matchKernel recognizes a Kernel commit or mark method by name and
 // signature shape, returning nil for unrelated methods that merely
 // share the name.
 func matchKernel(pass *lint.Pass, fd *ast.FuncDecl) *kernel {

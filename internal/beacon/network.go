@@ -189,9 +189,6 @@ func NewNetwork[S comparable](p core.Protocol[S], g *graph.Graph, states []S, pr
 // Now returns the current simulated time.
 func (n *Network[S]) Now() float64 { return n.now }
 
-// Moves returns the number of protocol moves so far.
-func (n *Network[S]) Moves() int { return n.moves }
-
 // LinkStats returns the link-layer traffic counters so far. Sent equals
 // Delivered + Lost + beacons still in flight.
 func (n *Network[S]) LinkStats() Stats { return n.stats }

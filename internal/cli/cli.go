@@ -7,7 +7,9 @@ package cli
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 
 	"selfstab/internal/beacon"
 	"selfstab/internal/core"
@@ -21,8 +23,11 @@ import (
 // TopologyNames lists the accepted -topology values.
 var TopologyNames = []string{"path", "cycle", "complete", "star", "grid", "tree", "gnp", "disk", "lollipop", "barbell"}
 
-// BuildTopology constructs the named topology on n nodes. p is the edge
+// BuildTopology constructs the named topology on exactly n nodes, or
+// returns an error when the topology has no such instance. p is the edge
 // probability for gnp, the radius hint for disk, and ignored elsewhere.
+// The grid is the most nearly square rows×cols grid with rows·cols = n
+// (a path when n is prime).
 func BuildTopology(name string, n int, p float64, rng *rand.Rand) (*graph.Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("cli: n = %d, want n >= 0", n)
@@ -40,30 +45,42 @@ func BuildTopology(name string, n int, p float64, rng *rand.Rand) (*graph.Graph,
 	case "star":
 		return graph.Star(n), nil
 	case "grid":
-		side := 1
-		for side*side < n {
-			side++
+		rows := 1
+		for r := 2; r*r <= n; r++ {
+			if n%r == 0 {
+				rows = r
+			}
 		}
-		return graph.Grid(side, side), nil
+		return graph.Grid(rows, n/rows), nil
 	case "tree":
 		return graph.RandomTree(n, rng), nil
 	case "gnp":
+		if !(p >= 0 && p <= 1) { // also rejects NaN
+			return nil, fmt.Errorf("cli: gnp -p %v, want 0 <= p <= 1", p)
+		}
 		return graph.RandomConnected(n, p, rng), nil
 	case "disk":
+		// The radius grows from p until the graph connects, so p <= 0
+		// would never get there.
+		if n < 1 {
+			return nil, fmt.Errorf("cli: disk needs n >= 1")
+		}
+		if !(p > 0) || math.IsInf(p, 1) {
+			return nil, fmt.Errorf("cli: disk -p %v, want a finite radius > 0", p)
+		}
 		g, _ := graph.RandomUnitDisk(n, p, rng)
 		return g, nil
 	case "lollipop":
-		k := n / 2
-		if k < 2 {
-			k = 2
+		if n < 2 {
+			return nil, fmt.Errorf("cli: lollipop needs n >= 2")
 		}
+		k := max(n/2, 2)
 		return graph.Lollipop(k, n-k), nil
 	case "barbell":
-		k := n / 2
-		if k < 2 {
-			k = 2
+		if n < 4 {
+			return nil, fmt.Errorf("cli: barbell needs n >= 4")
 		}
-		return graph.Barbell(k, n-2*k), nil
+		return graph.Barbell(n/2, n%2), nil
 	}
 	return nil, fmt.Errorf("cli: unknown topology %q", name)
 }
@@ -73,6 +90,23 @@ var ProtocolNames = []string{"smm", "smi", "smm-arbitrary", "hsuhuang", "refined
 
 // ExecutorNames lists the accepted -executor values.
 var ExecutorNames = []string{"lockstep", "beacon", "stale"}
+
+// CheckExecutor reports an error unless executor is one of
+// ExecutorNames and can run protocol: only smm, smm-arbitrary, hsuhuang
+// and smi run on the beacon and stale executors. Unknown protocols pass
+// here; RunTrial rejects them.
+func CheckExecutor(protocol, executor string) error {
+	if !slices.Contains(ExecutorNames, executor) {
+		return fmt.Errorf("cli: unknown executor %q", executor)
+	}
+	switch protocol {
+	case "refined-hh", "coloring", "randmis", "tree", "clustering":
+		if executor != "lockstep" {
+			return fmt.Errorf("cli: protocol %s runs only on the lockstep executor, not %s", protocol, executor)
+		}
+	}
+	return nil
+}
 
 // TrialOptions configures one RunTrial call.
 type TrialOptions struct {
@@ -104,6 +138,9 @@ func DefaultLimit(protocol string, n int) int {
 // RunTrial executes one protocol trial and returns the one-line summary
 // the CLI prints. The graph is never mutated.
 func RunTrial(g *graph.Graph, opt TrialOptions, rng *rand.Rand) (string, error) {
+	if err := CheckExecutor(opt.Protocol, opt.Executor); err != nil {
+		return "", err
+	}
 	limit := opt.MaxRounds
 	if limit == 0 {
 		limit = DefaultLimit(opt.Protocol, g.N())

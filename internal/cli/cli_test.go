@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ func TestBuildTopologyAllNames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if g.N() < 12 {
+		if g.N() != 12 {
 			t.Fatalf("%s: n = %d", name, g.N())
 		}
 		if err := graph.Validate(g); err != nil {
@@ -23,6 +24,26 @@ func TestBuildTopologyAllNames(t *testing.T) {
 		}
 		if _, err := BuildTopology(name, -1, 0.2, rng); err == nil {
 			t.Fatalf("%s: n = -1 accepted", name)
+		}
+		// Tiny instances either exist on exactly n nodes or are refused;
+		// none may panic.
+		for n := 0; n <= 3; n++ {
+			if g, err := BuildTopology(name, n, 0.2, rng); err == nil && g.N() != n {
+				t.Fatalf("%s: n = %d built %d nodes", name, n, g.N())
+			}
+		}
+	}
+	// gnp's p is a probability; disk's is a starting radius that only
+	// grows by a factor, so it must be positive and finite.
+	for _, tc := range []struct {
+		name string
+		p    float64
+	}{
+		{"gnp", -1}, {"gnp", 2}, {"gnp", math.NaN()},
+		{"disk", 0}, {"disk", -0.5}, {"disk", math.NaN()}, {"disk", math.Inf(1)},
+	} {
+		if _, err := BuildTopology(tc.name, 8, tc.p, rng); err == nil {
+			t.Fatalf("%s: p = %v accepted", tc.name, tc.p)
 		}
 	}
 	if _, err := BuildTopology("moebius", 10, 0, rng); err == nil {
@@ -93,6 +114,9 @@ func TestRunTrialExecutors(t *testing.T) {
 	}
 	if _, err := RunTrial(g, TrialOptions{Protocol: "smi", Executor: "quantum"}, rng); err == nil {
 		t.Fatal("unknown executor accepted for smi")
+	}
+	if _, err := RunTrial(g, TrialOptions{Protocol: "coloring", Executor: "beacon"}, rng); err == nil {
+		t.Fatal("lockstep-only protocol accepted on the beacon executor")
 	}
 }
 

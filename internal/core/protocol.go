@@ -72,46 +72,26 @@ type Protocol[S comparable] interface {
 	Move(v View[S]) (next S, moved bool)
 }
 
-// BatchEvaluator is an optional protocol fast path: MoveBatch evaluates
-// many nodes in one call against a direct state vector and a CSR
-// adjacency snapshot, writing next[id] and moved[id] for every id in
-// ids. It must be observationally identical to calling Move per id with
-// a View whose Peers is states — executors use it on their unfiltered
-// hot path, fall back to Move everywhere reads are mediated, and the
-// metamorphic suite replays both paths for equality. Implementations
-// must be safe for concurrent calls over disjoint id sets: the lockstep
-// engine evaluates its shards' ranges in parallel.
-type BatchEvaluator[S comparable] interface {
-	// MoveBatch is an allocation-free contract: implementations and the
-	// round loops that call it are checked by the noalloc analyzer.
-	//
-	//selfstab:noalloc
-	MoveBatch(ids []graph.NodeID, csr *graph.CSR, states []S, next []S, moved []bool)
-}
-
-// ShardKernel is an optional protocol fast path for the install half of
-// a lockstep round, split at a barrier so shards never read a
-// half-committed state vector: first every shard commits its own nodes
+// Kernel is an optional protocol fast path for the whole lockstep
+// round, in the round's three barrier-separated phases: MoveBatch
+// evaluates the drained nodes, then every shard commits its own nodes
 // (CommitBatch — disjoint writes, no reads of other shards' states),
 // then, after all commits land, every shard derives its re-evaluation
 // marks from the fully post-round state vector (MarkBatch — concurrent
 // reads of immutable-for-the-phase states, writes only to the shard's
-// own frontier).
-//
-// The generic install marks the full closed neighborhood of every
-// changed node; MarkBatch may mark any subset that still covers the
-// nodes whose next Move output could differ because of this round's
-// changes, reading neighbor states as they stand after the round (e.g.
-// an SMM node holding a pointer reads only its target, an SMI node reads
-// only its bigger neighbors). The SMM and SMI MarkBatch comments argue
-// why their tests hold in any install order, post-round reads included.
-// Under-marking breaks byte-identity with the full scan, which is
-// exactly what the metamorphic suite replays for at 1–8 shards.
-//
-// CommitBatch must be safe for concurrent calls over disjoint id sets,
-// and MarkBatch for concurrent calls over disjoint id sets with
-// distinct frontiers.
-type ShardKernel[S comparable] interface {
+// own frontier). Executors use it on their unfiltered hot path and fall
+// back to Move everywhere reads are mediated; the metamorphic suite
+// replays both paths for equality at 1–8 shards. Every method must be
+// safe for concurrent calls over disjoint id sets (MarkBatch with
+// distinct frontiers).
+type Kernel[S comparable] interface {
+	// MoveBatch writes next[id] and moved[id] for every id in ids, from a
+	// direct state vector and a CSR adjacency snapshot. It must be
+	// observationally identical to calling Move per id with a View whose
+	// Peers is states. Allocation-free contract (noalloc).
+	//
+	//selfstab:noalloc
+	MoveBatch(ids []graph.NodeID, csr *graph.CSR, states []S, next []S, moved []bool)
 	// CommitBatch installs next[id] into states[id] for every id in ids
 	// and returns the number of ids with moved[id] set. Allocation-free
 	// contract (noalloc); write-ownership checked by shardsafe.
@@ -119,7 +99,14 @@ type ShardKernel[S comparable] interface {
 	//selfstab:noalloc
 	CommitBatch(ids []graph.NodeID, states []S, next []S, moved []bool) int
 	// MarkBatch marks on f every node whose view this shard's movers
-	// changed, reading only post-round states. Allocation-free contract
+	// changed, reading only post-round states. The generic install marks
+	// the full closed neighborhood of every changed node; MarkBatch may
+	// mark any subset that still covers the nodes whose next Move output
+	// could differ because of this round's changes (e.g. an SMM node
+	// holding a pointer reads only its target, an SMI node reads only its
+	// bigger neighbors). The SMM and SMI MarkBatch comments argue why
+	// their tests hold in any install order. Under-marking breaks
+	// byte-identity with the full scan. Allocation-free contract
 	// (noalloc); phase discipline checked by shardsafe.
 	//
 	//selfstab:noalloc

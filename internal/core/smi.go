@@ -64,7 +64,7 @@ func (*SMI) Move(v View[bool]) (bool, bool) {
 	return v.Self, false
 }
 
-// MoveBatch implements BatchEvaluator: the rules of Move over a direct
+// MoveBatch implements Kernel: the rules of Move over a direct
 // state vector, one call per round instead of one per node.
 //
 //selfstab:noalloc
@@ -98,7 +98,7 @@ func (*SMI) MoveBatch(ids []graph.NodeID, csr *graph.CSR, states, next []bool, m
 	}
 }
 
-// CommitBatch implements ShardKernel. SMI is deterministic — each rule
+// CommitBatch implements Kernel. SMI is deterministic — each rule
 // flips the bit — so moved coincides exactly with "the state changed"
 // and a non-mover's next equals its state: the loop stores every next
 // unconditionally and counts movers with a select instead of a branch,
@@ -119,7 +119,7 @@ func (*SMI) CommitBatch(ids []graph.NodeID, states, next []bool, moved []bool) i
 	return mv
 }
 
-// MarkBatch implements ShardKernel. Both rules test only neighbors with
+// MarkBatch implements Kernel. Both rules test only neighbors with
 // bigger IDs, so a state change at id can re-privilege a neighbor w only
 // when w < id — the ascending CSR row makes those a prefix. No self
 // re-mark: a mover's next-round privilege depends only on its bigger

@@ -282,7 +282,7 @@ func (s *SMM) moveDirectPolicies(id graph.NodeID, nbrs []graph.NodeID, peers []P
 	return Null, false
 }
 
-// MoveBatch implements BatchEvaluator: the rules of Move over a direct
+// MoveBatch implements Kernel: the rules of Move over a direct
 // state vector, one call per round instead of one per node. The default-
 // policy loop is the synchronous executors' hottest code path.
 //
@@ -347,7 +347,7 @@ func (s *SMM) MoveBatch(ids []graph.NodeID, csr *graph.CSR, states, next []Point
 	}
 }
 
-// CommitBatch implements ShardKernel. SMM is deterministic — every
+// CommitBatch implements Kernel. SMM is deterministic — every
 // firing rule rewrites the pointer — so moved coincides exactly with
 // "the state changed" and a non-mover's next equals its state: the loop
 // stores every next unconditionally and counts movers with a select
@@ -369,7 +369,7 @@ func (s *SMM) CommitBatch(ids []graph.NodeID, states, next []Pointer, moved []bo
 	return mv
 }
 
-// MarkBatch implements ShardKernel. The dependency rule follows directly
+// MarkBatch implements Kernel. The dependency rule follows directly
 // from the rules' read sets: a node holding a pointer reads only its
 // target's state (R3 and the dangling-pointer repair consult nothing
 // else), so a state change at id re-privileges a pointing neighbor w

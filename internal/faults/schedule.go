@@ -182,14 +182,6 @@ func (s Schedule) String() string {
 	return strings.Join(lines, "\n")
 }
 
-// Normalize sorts events by round (stable, preserving injection order
-// within a round).
-func (s *Schedule) Normalize() {
-	sort.SliceStable(s.Events, func(i, j int) bool {
-		return s.Events[i].Round < s.Events[j].Round
-	})
-}
-
 // WriteJSON serializes the schedule as indented JSON.
 func (s Schedule) WriteJSON(w interface{ Write([]byte) (int, error) }) error {
 	enc := json.NewEncoder(w)

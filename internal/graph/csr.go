@@ -12,9 +12,9 @@ import "sort"
 // A CSR is valid for its version only: Graph.Snapshot may advance the
 // graph's cached snapshot in place by the one edit made since, so
 // executors record the graph version their derived state reflects
-// rather than ask Fresh of a snapshot another executor may have
-// advanced. Concurrent reads (the shard workers all read one CSR) are
-// safe while no goroutine edits the graph or calls Snapshot.
+// rather than trust a snapshot another executor may have advanced.
+// Concurrent reads (the shard workers all read one CSR) are safe while
+// no goroutine edits the graph or calls Snapshot.
 type CSR struct {
 	offs    []int32 // len n+1; neighbor list of v is nbrs[offs[v]:offs[v+1]]
 	nbrs    []NodeID
@@ -22,7 +22,7 @@ type CSR struct {
 }
 
 // BuildCSR snapshots g's adjacency. The snapshot is tied to g's current
-// Version; use Fresh to test whether it still reflects g.
+// Version.
 func BuildCSR(g *Graph) *CSR {
 	n := g.N()
 	c := &CSR{
@@ -50,7 +50,7 @@ func (g *Graph) Snapshot() *CSR {
 	g.snapMu.Lock()
 	defer g.snapMu.Unlock()
 	switch {
-	case g.snap.Fresh(g):
+	case g.snap.fresh(g):
 	case g.snap != nil && g.snap.version+1 == g.version:
 		g.snap.patch(g.last, g.lastAdd, g.version)
 	default:
@@ -96,11 +96,9 @@ func shiftOffsets(offs []int32, d int32) {
 	}
 }
 
-// Fresh reports whether the snapshot still matches g: same node count
+// fresh reports whether the snapshot still matches g: same node count
 // and the same edge-mutation version.
-//
-//selfstab:noalloc
-func (c *CSR) Fresh(g *Graph) bool {
+func (c *CSR) fresh(g *Graph) bool {
 	return c != nil && c.version == g.Version() && len(c.offs) == g.N()+1
 }
 
@@ -115,13 +113,6 @@ func (c *CSR) N() int { return len(c.offs) - 1 }
 //selfstab:noalloc
 func (c *CSR) Neighbors(v NodeID) []NodeID {
 	return c.nbrs[c.offs[v]:c.offs[v+1]]
-}
-
-// Degree returns the number of neighbors of v.
-//
-//selfstab:noalloc
-func (c *CSR) Degree(v NodeID) int {
-	return int(c.offs[v+1] - c.offs[v])
 }
 
 // Rows exposes the raw arrays for batch kernels that slice neighbor

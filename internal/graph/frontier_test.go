@@ -11,20 +11,23 @@ import (
 var oddSizes = []int{1, 63, 64, 65, 127}
 
 func drained(f *Frontier, n int) []NodeID {
-	return f.Drain(nil, n)
+	return f.DrainRange(nil, 0, n)
+}
+
+// drainedCopy peeks at membership without consuming the frontier.
+func drainedCopy(f *Frontier, n int) []NodeID {
+	members := drained(f, n)
+	for _, v := range members {
+		f.Add(v)
+	}
+	return members
 }
 
 func TestFrontierOddSizesDrainLenAddMask(t *testing.T) {
 	for _, n := range oddSizes {
-		f := NewFrontier(n)
-		if got := f.Len(n); got != n {
-			t.Fatalf("n=%d: fresh frontier Len = %d, want %d", n, got, n)
-		}
-		if got := drained(f, n); len(got) != n || (n > 0 && int(got[n-1]) != n-1) {
-			t.Fatalf("n=%d: full drain = %v", n, got)
-		}
-		if !f.Empty() {
-			t.Fatalf("n=%d: not empty after drain", n)
+		f := MakeFrontier(n)
+		if got := drained(&f, n); len(got) != 0 {
+			t.Fatalf("n=%d: fresh frontier drained %v", n, got)
 		}
 
 		// Mark the boundary-prone IDs: first, last, and both sides of
@@ -42,10 +45,10 @@ func TestFrontierOddSizesDrainLenAddMask(t *testing.T) {
 		if n > 1 {
 			f.AddMask(1, false) // false mask must not mark
 		}
-		if got := f.Len(n); got != len(want) {
-			t.Fatalf("n=%d: Len = %d, want %d", n, got, len(want))
+		if got := drainedCopy(&f, n); len(got) != len(want) {
+			t.Fatalf("n=%d: %d members, want %d", n, len(got), len(want))
 		}
-		got := drained(f, n)
+		got := drained(&f, n)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: drain = %v, want %d members", n, got, len(want))
 		}
@@ -57,21 +60,22 @@ func TestFrontierOddSizesDrainLenAddMask(t *testing.T) {
 				t.Fatalf("n=%d: drain not ascending: %v", n, got)
 			}
 		}
-		if !f.Empty() || f.Len(n) != 0 {
-			t.Fatalf("n=%d: drain did not clear", n)
+		if got := drained(&f, n); len(got) != 0 {
+			t.Fatalf("n=%d: drain did not clear: %v", n, got)
 		}
 	}
 }
 
 func TestFrontierAddAllThenDrainIntoUndersizedBuffer(t *testing.T) {
 	for _, n := range oddSizes {
-		f := NewFrontier(n)
-		f.Drain(make([]NodeID, 0, n), n)
-		f.AddAll()
+		f := MakeFrontier(n)
+		for v := 0; v < n; v++ {
+			f.Add(NodeID(v))
+		}
 		// An undersized buffer must grow, not truncate: every node comes
 		// out, ascending, regardless of the caller's capacity guess.
 		buf := make([]NodeID, 0, 1)
-		got := f.Drain(buf, n)
+		got := f.DrainRange(buf, 0, n)
 		if len(got) != n {
 			t.Fatalf("n=%d: drain into undersized buffer returned %d members", n, len(got))
 		}
@@ -80,9 +84,36 @@ func TestFrontierAddAllThenDrainIntoUndersizedBuffer(t *testing.T) {
 				t.Fatalf("n=%d: position %d holds %d", n, v, got[v])
 			}
 		}
-		if !f.Empty() {
-			t.Fatalf("n=%d: AddAll survived the drain", n)
+		if got := drained(&f, n); len(got) != 0 {
+			t.Fatalf("n=%d: marks survived the drain: %v", n, got)
 		}
+	}
+}
+
+func TestFrontierDedupAndOrder(t *testing.T) {
+	f := MakeFrontier(100)
+	for _, v := range []NodeID{42, 3, 99, 3, 42, 0, 64, 63} {
+		f.Add(v)
+	}
+	got := drained(&f, 100)
+	want := []NodeID{0, 3, 42, 63, 64, 99}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("drained %v want %v", got, want)
+	}
+	// The flags must be fully cleared: re-adding works afresh.
+	f.Add(42)
+	if got := drained(&f, 100); len(got) != 1 || got[0] != 42 {
+		t.Fatalf("after re-add: %v", got)
+	}
+}
+
+func TestFrontierDrainReusesBuffer(t *testing.T) {
+	f := MakeFrontier(10)
+	f.Add(1)
+	buf := make([]NodeID, 0, 16)
+	got := f.DrainRange(buf, 0, 10)
+	if &got[:1][0] != &buf[:1][0] {
+		t.Fatal("drain did not reuse the buffer")
 	}
 }
 
@@ -91,8 +122,7 @@ func TestFrontierDrainRange(t *testing.T) {
 		// Split [0, n) at deliberately unaligned points and check that
 		// per-range drains partition the full drain exactly.
 		cuts := []int{0, n / 3, 2*n/3 + 1, n}
-		f := NewFrontier(n)
-		f.Reset()
+		f := MakeFrontier(n)
 		marked := []NodeID{}
 		for v := 0; v < n; v += 2 {
 			f.Add(NodeID(v))
@@ -115,36 +145,23 @@ func TestFrontierDrainRange(t *testing.T) {
 		if !reflect.DeepEqual(got, marked) {
 			t.Fatalf("n=%d: ranged drains = %v, want %v", n, got, marked)
 		}
-		if !f.Empty() {
-			t.Fatalf("n=%d: ranged drains did not clear", n)
+		if rest := drained(&f, n); len(rest) != 0 {
+			t.Fatalf("n=%d: ranged drains did not clear: %v", n, rest)
 		}
 		// Draining a clean subrange must not disturb marks outside it.
 		f.Add(NodeID(n - 1))
 		if part := f.DrainRange(nil, 0, n-1); len(part) != 0 {
 			t.Fatalf("n=%d: clean range drained %v", n, part)
 		}
-		if f.Len(n) != 1 {
+		if rest := drained(&f, n); len(rest) != 1 {
 			t.Fatalf("n=%d: outside mark lost", n)
 		}
 	}
 }
 
-func TestFrontierDrainRangePanicsOnFull(t *testing.T) {
-	f := NewFrontier(8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DrainRange on a full frontier did not panic")
-		}
-	}()
-	f.DrainRange(nil, 0, 8)
-}
-
 func TestFrontierAbsorb(t *testing.T) {
 	for _, n := range oddSizes {
-		dst := NewFrontier(n)
-		dst.Reset()
-		src := NewFrontier(n)
-		src.Reset()
+		dst, src := MakeFrontier(n), MakeFrontier(n)
 		for v := 0; v < n; v += 3 {
 			src.Add(NodeID(v))
 		}
@@ -152,28 +169,19 @@ func TestFrontierAbsorb(t *testing.T) {
 			dst.Add(NodeID(1)) // pre-existing mark must survive the OR
 		}
 		lo, hi := n/4, n-n/4
-		dst.Absorb(src, lo, hi)
+		dst.Absorb(&src, lo, hi)
 		for v := 0; v < n; v++ {
 			inWindow := v >= lo && v < hi
 			wantSrc := v%3 == 0 && !inWindow
 			wantDst := (v%3 == 0 && inWindow) || (v == 1 && n > 1)
-			gotSrc := contains(drainedCopy(src, n), NodeID(v))
-			gotDst := contains(drainedCopy(dst, n), NodeID(v))
+			gotSrc := contains(drainedCopy(&src, n), NodeID(v))
+			gotDst := contains(drainedCopy(&dst, n), NodeID(v))
 			if gotSrc != wantSrc || gotDst != wantDst {
 				t.Fatalf("n=%d lo=%d hi=%d node %d: src=%v (want %v) dst=%v (want %v)",
 					n, lo, hi, v, gotSrc, wantSrc, gotDst, wantDst)
 			}
 		}
 	}
-}
-
-// drainedCopy peeks at membership without consuming the frontier.
-func drainedCopy(f *Frontier, n int) []NodeID {
-	members := f.Drain(nil, n)
-	for _, v := range members {
-		f.Add(v)
-	}
-	return members
 }
 
 func contains(s []NodeID, v NodeID) bool {
@@ -185,30 +193,13 @@ func contains(s []NodeID, v NodeID) bool {
 	return false
 }
 
-func TestFrontierAbsorbPanicsOnFullSource(t *testing.T) {
-	dst := NewFrontier(8)
-	dst.Reset()
-	src := NewFrontier(8) // full by construction
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Absorb from a full frontier did not panic")
-		}
-	}()
-	dst.Absorb(src, 0, 8)
-}
-
 func TestFrontierReset(t *testing.T) {
-	f := NewFrontier(16) // full
-	f.Reset()
-	if !f.Empty() || f.Len(16) != 0 {
-		t.Fatal("Reset left a full frontier non-empty")
+	f := MakeFrontier(16)
+	for _, v := range []NodeID{0, 3, 8, 15} {
+		f.Add(v)
 	}
-	f.Add(3)
 	f.Reset()
-	if !f.Empty() {
-		t.Fatal("Reset left a mark behind")
-	}
-	if got := f.Drain(nil, 16); len(got) != 0 {
+	if got := drained(&f, 16); len(got) != 0 {
 		t.Fatalf("drain after Reset = %v", got)
 	}
 }

@@ -133,7 +133,7 @@ func FuzzCSRPatch(f *testing.F) {
 			}
 			c := g.Snapshot()
 			want := BuildCSR(g)
-			if !c.Fresh(g) || !reflect.DeepEqual(c.offs, want.offs) || !reflect.DeepEqual(c.nbrs, want.nbrs) {
+			if !c.fresh(g) || !reflect.DeepEqual(c.offs, want.offs) || !reflect.DeepEqual(c.nbrs, want.nbrs) {
 				t.Fatalf("edit %d: snapshot %v %v, rebuild %v %v", i/3, c.offs, c.nbrs, want.offs, want.nbrs)
 			}
 			if g.Version() <= prevVersion+1 && c != prev {

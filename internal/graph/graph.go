@@ -78,15 +78,6 @@ func (g *Graph) M() int { return g.m }
 // cache adjacency-derived structures against it.
 func (g *Graph) Version() uint64 { return g.version }
 
-// Nodes returns the node IDs 0..n-1 as a fresh slice.
-func (g *Graph) Nodes() []NodeID {
-	ids := make([]NodeID, len(g.adj))
-	for i := range ids {
-		ids[i] = NodeID(i)
-	}
-	return ids
-}
-
 // Neighbors returns the sorted neighbor list of v. The returned slice is
 // owned by the graph and must not be modified; callers that mutate must
 // copy first.

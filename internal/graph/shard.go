@@ -26,7 +26,6 @@ import "sort"
 // index reflects the snapshot version it was built from, so executors
 // with K > 1 rebuild it whenever the snapshot advances.
 type Partition struct {
-	csr    *CSR
 	starts []int32 // len K+1; shard s owns nodes [starts[s], starts[s+1])
 	halos  [][]NodeID
 	// spans[s*K+t] is the subrange [lo, hi) of shard t's node range that
@@ -45,7 +44,7 @@ func NewPartition(c *CSR, k int) *Partition {
 	if k < 1 {
 		k = 1
 	}
-	p := &Partition{csr: c, starts: make([]int32, k+1)}
+	p := &Partition{starts: make([]int32, k+1)}
 	for s := 0; s <= k; s++ {
 		p.starts[s] = int32(s * n / k)
 	}
@@ -150,46 +149,4 @@ func (p *Partition) AbsorbSpan(s, t int) (lo, hi NodeID) {
 	}
 	sp := p.spans[s*p.K()+t]
 	return NodeID(sp[0]), NodeID(sp[1])
-}
-
-// ShardView is a shard's window onto the CSR snapshot: the owned node
-// range plus the read-only boundary index. Offs and Nbrs are subslices
-// of the global CSR arrays (no copying): the neighbor list of owned
-// node v is Nbrs[Offs[v-Lo]-base : Offs[v-Lo+1]-base] with base =
-// Offs[0], and concatenating every shard's Nbrs in shard order
-// reproduces the CSR's neighbor array byte for byte (the fuzz tier pins
-// this reassembly invariant).
-type ShardView struct {
-	// Lo, Hi delimit the owned node range [Lo, Hi).
-	Lo, Hi NodeID
-	// Offs is the CSR offset array window offs[Lo : Hi+1]; offsets are
-	// global (into the full CSR neighbor array), so rebase by Offs[0]
-	// when indexing Nbrs.
-	Offs []int32
-	// Nbrs holds the owned rows back to back.
-	Nbrs []NodeID
-	// Halo is the sorted set of non-owned nodes visible from the range.
-	Halo []NodeID
-}
-
-// View returns shard s's window.
-//
-//selfstab:noalloc
-func (p *Partition) View(s int) ShardView {
-	lo, hi := p.starts[s], p.starts[s+1]
-	return ShardView{
-		Lo:   NodeID(lo),
-		Hi:   NodeID(hi),
-		Offs: p.csr.offs[lo : hi+1],
-		Nbrs: p.csr.nbrs[p.csr.offs[lo]:p.csr.offs[hi]],
-		Halo: p.Halo(s),
-	}
-}
-
-// Neighbors returns owned node v's neighbor list. v must be in [Lo, Hi).
-//
-//selfstab:noalloc
-func (v ShardView) Neighbors(u NodeID) []NodeID {
-	base := v.Offs[0]
-	return v.Nbrs[v.Offs[u-v.Lo]-base : v.Offs[u-v.Lo+1]-base]
 }

@@ -12,11 +12,9 @@ import (
 // benchMutations drives a closed-loop mutation stream at the given
 // queue depth straight into a tenant event loop (no HTTP, no rate
 // limiter) and reports mutations/sec plus realized fsyncs per journal
-// entry. BenchmarkServiceMutationsFsyncEach at depth 1 is the
-// pre-group-commit discipline; rising depth under BenchmarkService-
-// Mutations shows one fsync amortizing over the commands queued behind
-// it.
-func benchMutations(b *testing.B, depth int, fsyncEach bool) {
+// entry. Rising depth shows one fsync amortizing over the commands
+// queued behind it.
+func benchMutations(b *testing.B, depth int) {
 	n := 2 * depth
 	if n < 8 {
 		n = 8
@@ -31,7 +29,6 @@ func benchMutations(b *testing.B, depth int, fsyncEach bool) {
 		slice:      64,
 		snapEvery:  -1,
 		segBytes:   64 << 20,
-		fsyncEach:  fsyncEach,
 		now:        time.Now,
 	})
 	if err != nil {
@@ -83,12 +80,6 @@ func benchMutations(b *testing.B, depth int, fsyncEach bool) {
 
 func BenchmarkServiceMutations(b *testing.B) {
 	for _, depth := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { benchMutations(b, depth, false) })
-	}
-}
-
-func BenchmarkServiceMutationsFsyncEach(b *testing.B) {
-	for _, depth := range []int{1, 64} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { benchMutations(b, depth, true) })
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { benchMutations(b, depth) })
 	}
 }

@@ -46,9 +46,6 @@ type Options struct {
 	// rotates to a fresh numbered segment, and checkpoints retire every
 	// segment wholly covered by the snapshot. Default 4 MiB.
 	SegmentBytes int64
-	// FsyncEach forces one fsync per journaled mutation (the
-	// pre-group-commit discipline); kept as the benchmark baseline.
-	FsyncEach bool
 	// Now is the clock seam for rate limiting; defaults to time.Now.
 	Now func() time.Time
 }
@@ -205,7 +202,6 @@ func (s *Service) startTenant(dir string, meta tenantMeta) (*tenant, error) {
 		ratePerSec: s.opts.RatePerSec,
 		burst:      s.opts.Burst,
 		segBytes:   s.opts.SegmentBytes,
-		fsyncEach:  s.opts.FsyncEach,
 		now:        s.opts.Now,
 	})
 	if err != nil {

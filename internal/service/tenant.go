@@ -91,9 +91,6 @@ type tenant struct {
 	bound     int
 	slice     int
 	snapEvery int64
-	// fsyncEach forces the pre-group-commit discipline of one fsync per
-	// journaled mutation; kept as the benchmark baseline.
-	fsyncEach bool
 
 	limiter *tokenBucket
 
@@ -167,7 +164,6 @@ type tenantOptions struct {
 	ratePerSec float64
 	burst      int
 	segBytes   int64
-	fsyncEach  bool
 	now        func() time.Time
 }
 
@@ -198,7 +194,6 @@ func newTenant(svcCtx context.Context, dir string, meta tenantMeta, opts tenantO
 		bound:     protocolBound(meta.Protocol, meta.N),
 		slice:     opts.slice,
 		snapEvery: opts.snapEvery,
-		fsyncEach: opts.fsyncEach,
 		limiter:   newTokenBucket(opts.ratePerSec, opts.burst, opts.now),
 		cmds:      make(chan *command, opts.queueDepth),
 		quit:      make(chan struct{}),
@@ -415,10 +410,8 @@ func (t *tenant) handleBatch(batch []*command) bool {
 			continue
 		}
 		n := 1
-		if !t.fsyncEach {
-			for n < len(batch) && !isBarrier(batch[n].mut.Op) {
-				n++
-			}
+		for n < len(batch) && !isBarrier(batch[n].mut.Op) {
+			n++
 		}
 		if !t.handleRun(batch[:n]) {
 			return false

@@ -48,23 +48,7 @@ func (r Result) String() string {
 	return fmt.Sprintf("NOT stable after %d rounds (%d moves)", r.Rounds, r.Moves)
 }
 
-// Instance is the protocol-agnostic face of a running simulation, used by
-// the experiment harness to drive heterogeneous protocols uniformly.
-type Instance interface {
-	// Name identifies the protocol under simulation.
-	Name() string
-	// Step executes one synchronous round and returns how many nodes moved.
-	Step() int
-	// Run drives Step until a round with zero moves or until maxRounds
-	// rounds with moves have executed.
-	Run(maxRounds int) Result
-	// Rounds returns the number of rounds with moves executed so far.
-	Rounds() int
-	// Moves returns the total moves executed so far.
-	Moves() int
-}
-
-// filteredViewer is the reusable viewer-aware peer reader of fault runs:
+// filteredViewer is the reusable viewer-aware peer reader of filtered runs:
 // one value per shard, re-targeted per node by writing viewer, so the
 // peerFilter path allocates nothing per node (the method value over the
 // pointer is bound once, when the filter is installed).
@@ -90,8 +74,9 @@ type Lockstep[S comparable] struct {
 	moves  int
 	// peerFilter, when non-nil, intercepts every neighbor-state read of a
 	// round with (viewer, neighbor, fresh state). It is how the fault
-	// layer serves stale views (beacon-loss bursts, frozen neighbor
-	// tables) without touching the true states; nil in normal runs.
+	// layer (beacon-loss bursts, frozen neighbor tables) and
+	// StaleLockstep (views from past rounds) serve stale views without
+	// touching the true states; nil in normal runs.
 	peerFilter func(viewer, nbr graph.NodeID, fresh S) S
 
 	// fullScan selects the reference engine: every round is a full round.
@@ -113,16 +98,14 @@ type Lockstep[S comparable] struct {
 	// protocols read the state vector directly and never get one.
 	peerFn func(graph.NodeID) S
 
-	// batch, when the protocol provides one, evaluates a shard's drained
+	// kern, when the protocol provides one, evaluates a shard's drained
 	// nodes in a single call on the unfiltered path — no View
-	// construction and no interface dispatch per node. skern is the
-	// matching install fast path, which additionally prunes the next
-	// frontier to the protocol's true read dependencies instead of whole
-	// closed neighborhoods. Both are nil for wrapped or third-party
-	// protocols, which take the per-node Move loop and the generic
-	// commit and mark.
-	batch core.BatchEvaluator[S]
-	skern core.ShardKernel[S]
+	// construction and no interface dispatch per node — and installs
+	// them, pruning the next frontier to the protocol's true read
+	// dependencies instead of whole closed neighborhoods. It is nil for
+	// wrapped or third-party protocols, which take the per-node Move loop
+	// and the generic commit and mark.
+	kern core.Kernel[S]
 
 	fullRound  bool // next round evaluates everyone (Run entry, topology resync)
 	roundFull  bool // the round in flight is a full round
@@ -169,9 +152,8 @@ func NewShardedLockstep[S comparable](p core.Protocol[S], cfg core.Config[S], sh
 		fullRound: true,
 	}
 	l.part = graph.NewPartition(l.csr, shards)
-	l.batch, _ = p.(core.BatchEvaluator[S])
-	l.skern, _ = p.(core.ShardKernel[S])
-	if l.batch == nil {
+	l.kern, _ = p.(core.Kernel[S])
+	if l.kern == nil {
 		states := cfg.States // the slice header is stable; only elements change
 		l.peerFn = func(j graph.NodeID) S { return states[j] }
 	}
@@ -181,7 +163,7 @@ func NewShardedLockstep[S comparable](p core.Protocol[S], cfg core.Config[S], sh
 		sh := &l.shards[s]
 		sh.front = graph.MakeFrontier(n)
 		sh.ids = make([]graph.NodeID, 0, hi-lo)
-		if l.skern == nil {
+		if l.kern == nil {
 			sh.chg = make([]bool, hi-lo)
 		}
 	}
@@ -190,9 +172,10 @@ func NewShardedLockstep[S comparable](p core.Protocol[S], cfg core.Config[S], sh
 
 // NewReferenceLockstep wraps p over cfg with the full-scan reference
 // engine: every node is evaluated every round, exactly the paper's
-// round structure with no scheduling shortcut. It exists as the oracle
-// the metamorphic tests compare the frontier engine against, and runs
-// at one shard whatever SetShards says.
+// round structure with no scheduling shortcut. It is the oracle the
+// metamorphic tests compare the frontier engine against, and the engine
+// under StaleLockstep, whose lag draws must see every read in ID order;
+// it runs at one shard whatever SetShards says.
 func NewReferenceLockstep[S comparable](p core.Protocol[S], cfg core.Config[S]) *Lockstep[S] {
 	l := NewShardedLockstep(p, cfg, 1)
 	l.fullScan = true
@@ -211,16 +194,13 @@ func (l *Lockstep[S]) filterPeers(f func(viewer, nbr graph.NodeID, fresh S) S) {
 	}
 }
 
-// Name implements Instance.
-func (l *Lockstep[S]) Name() string { return l.p.Name() }
-
 // Config exposes the current configuration.
 func (l *Lockstep[S]) Config() core.Config[S] { return l.cfg }
 
-// Rounds implements Instance.
+// Rounds returns the number of rounds with moves executed so far.
 func (l *Lockstep[S]) Rounds() int { return l.rounds }
 
-// Moves implements Instance.
+// Moves returns the total moves executed so far.
 func (l *Lockstep[S]) Moves() int { return l.moves }
 
 // DirtyState marks node v's closed neighborhood for re-evaluation after
@@ -284,7 +264,8 @@ func (l *Lockstep[S]) resync() {
 	l.csr, l.topo = c, l.cfg.G.Version()
 }
 
-// Run implements Instance.
+// Run drives Step from a full round until a round with zero moves or
+// until maxRounds rounds with moves have executed.
 func (l *Lockstep[S]) Run(maxRounds int) Result {
 	return l.RunHook(maxRounds, nil)
 }
@@ -382,8 +363,3 @@ func (l *Lockstep[S]) quiescent() bool {
 	}
 	return true
 }
-
-// Stable reports whether the current configuration is a fixed point.
-func (l *Lockstep[S]) Stable() bool { return l.quiescent() }
-
-var _ Instance = (*Lockstep[bool])(nil)

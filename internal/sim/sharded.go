@@ -70,9 +70,8 @@ const (
 type shard[S comparable] struct {
 	// front is the shard's full-length frontier. The shard drains only
 	// its own range from it; marks it writes outside that range land in
-	// its halo and are pulled over by the owners during absorb. Shard
-	// frontiers never use the "full" state — Lockstep.fullRound replaces
-	// it so no per-range scan ever has to expand an implicit full set.
+	// its halo and are pulled over by the owners during absorb. A round
+	// that evaluates everyone is Lockstep.fullRound, not a frontier state.
 	front  graph.Frontier
 	ids    []graph.NodeID // drain buffer, cap = range size
 	chg    []bool         // generic-path change flags, parallel to ids; nil with a kernel
@@ -106,7 +105,7 @@ func (l *Lockstep[S]) addAll() {
 	l.fullRound = true
 }
 
-// Step implements Instance: every frontier node evaluates its rules
+// Step runs one synchronous round: every frontier node evaluates its rules
 // against the current configuration and all resulting states are
 // installed at once, as four barrier-separated shard phases. Non-frontier
 // nodes are provably no-ops (their view is unchanged since they last
@@ -244,8 +243,8 @@ func (l *Lockstep[S]) evalShard(s int) {
 
 	ids, states := sh.ids, l.cfg.States
 	filtered := l.peerFilter != nil
-	if l.batch != nil && !filtered {
-		l.batch.MoveBatch(ids, l.csr, states, l.next, l.moved)
+	if l.kern != nil && !filtered {
+		l.kern.MoveBatch(ids, l.csr, states, l.next, l.moved)
 		return
 	}
 	pv, direct := l.peerFn, states
@@ -274,8 +273,8 @@ func (l *Lockstep[S]) evalShard(s int) {
 func (l *Lockstep[S]) commitShard(s int) {
 	sh := &l.shards[s]
 	states := l.cfg.States
-	if l.skern != nil {
-		sh.mv = l.skern.CommitBatch(sh.ids, states, l.next, l.moved)
+	if l.kern != nil {
+		sh.mv = l.kern.CommitBatch(sh.ids, states, l.next, l.moved)
 		sh.chgAny = sh.mv > 0
 		return
 	}
@@ -305,8 +304,8 @@ func (l *Lockstep[S]) commitShard(s int) {
 func (l *Lockstep[S]) markShard(s int) {
 	sh := &l.shards[s]
 	f := &sh.front
-	if l.skern != nil {
-		l.skern.MarkBatch(sh.ids, l.csr, l.cfg.States, l.moved, f)
+	if l.kern != nil {
+		l.kern.MarkBatch(sh.ids, l.csr, l.cfg.States, l.moved, f)
 		return
 	}
 	offs, nbrs := l.csr.Rows()

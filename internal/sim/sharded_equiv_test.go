@@ -52,7 +52,7 @@ func TestShardedMatchesReferenceSMI(t *testing.T) {
 	}
 }
 
-// The opaque wrapper hides the ShardKernel (and every other fast-path
+// The opaque wrapper hides the Kernel (and every other fast-path
 // interface), forcing the sharded engine onto its generic commit+mark
 // split with closed-neighborhood marking — which must agree with the
 // reference's full scan.

@@ -18,96 +18,68 @@ import (
 // probes territory the paper does NOT claim: what if beacons carried
 // cached state, or nodes acted on timeout with old tables? Experiment
 // E12 measures which of the protocols survive it.
-// StaleLockstep deliberately stays a full scan: the shared generator is
-// consumed lazily inside every Peer read, so skipping a provably
-// inactive node would still shift the random-lag stream of every later
-// read and change the execution. Frontier scheduling is sound only for
-// executors whose skipped evaluations consume no randomness.
+//
+// It is the full-scan reference engine with a peer filter that serves
+// each read from a ring of past rounds. It must stay a full scan: the
+// shared generator is consumed lazily inside every Peer read, so
+// skipping a provably inactive node would still shift the random-lag
+// stream of every later read and change the execution. Frontier
+// scheduling is sound only for executors whose skipped evaluations
+// consume no randomness.
 type StaleLockstep[S comparable] struct {
-	p       core.Protocol[S]
-	cfg     core.Config[S]
-	maxLag  int
-	rng     *rand.Rand
-	history [][]S // history[k] = states k rounds ago, k in [0, maxLag]
-	next    []S
-	csr     *graph.CSR
-	peerFn  func(graph.NodeID) S // hoisted: one closure per executor, not per node per round
-	rounds  int
-	moves   int
+	l      *Lockstep[S]
+	maxLag int
+	past   [][]S // past[k] = states k+1 rounds ago, k in [0, maxLag)
+	spare  []S   // the pre-round copy, rotated into past[0] after each round
 }
 
 // NewStaleLockstep wraps protocol p over cfg with the given staleness
-// bound. The history is seeded with the initial configuration (as if the
-// system had been holding it forever).
+// bound. The past rounds are seeded with the initial configuration (as
+// if the system had been holding it forever).
 func NewStaleLockstep[S comparable](p core.Protocol[S], cfg core.Config[S], maxLag int, rng *rand.Rand) *StaleLockstep[S] {
 	if maxLag < 0 {
 		panic(fmt.Sprintf("sim: NewStaleLockstep: negative lag %d", maxLag))
 	}
-	s := &StaleLockstep[S]{
-		p:       p,
-		cfg:     cfg,
-		maxLag:  maxLag,
-		rng:     rng,
-		history: make([][]S, maxLag+1),
-		next:    make([]S, len(cfg.States)),
+	s := &StaleLockstep[S]{l: NewReferenceLockstep(p, cfg), maxLag: maxLag}
+	if maxLag == 0 {
+		return s // every read is fresh and draws nothing: no filter
 	}
-	for k := range s.history {
-		s.history[k] = append([]S(nil), cfg.States...)
+	s.past = make([][]S, maxLag)
+	for k := range s.past {
+		s.past[k] = append([]S(nil), cfg.States...)
 	}
-	s.peerFn = func(j graph.NodeID) S {
-		lag := 0
-		if s.maxLag > 0 {
-			lag = s.rng.Intn(s.maxLag + 1)
+	s.spare = make([]S, len(cfg.States))
+	s.l.filterPeers(func(_, j graph.NodeID, fresh S) S {
+		if lag := rng.Intn(maxLag + 1); lag > 0 {
+			return s.past[lag-1][j]
 		}
-		return s.history[lag][j]
-	}
+		return fresh
+	})
 	return s
 }
 
 // Config exposes the current configuration.
-func (s *StaleLockstep[S]) Config() core.Config[S] { return s.cfg }
+func (s *StaleLockstep[S]) Config() core.Config[S] { return s.l.Config() }
 
 // Rounds returns the number of active rounds executed.
-func (s *StaleLockstep[S]) Rounds() int { return s.rounds }
+func (s *StaleLockstep[S]) Rounds() int { return s.l.Rounds() }
 
 // Moves returns the total active node evaluations.
-func (s *StaleLockstep[S]) Moves() int { return s.moves }
+func (s *StaleLockstep[S]) Moves() int { return s.l.Moves() }
 
 // Step executes one round with randomly stale views and returns the
 // number of active nodes.
 func (s *StaleLockstep[S]) Step() int {
-	if !s.csr.Fresh(s.cfg.G) {
-		s.csr = s.cfg.G.Snapshot()
+	if s.past == nil {
+		return s.l.Step()
 	}
-	moved := 0
-	for v := range s.cfg.States {
-		id := graph.NodeID(v)
-		view := core.View[S]{
-			ID:   id,
-			Self: s.cfg.States[v], // own state is always current
-			Nbrs: s.csr.Neighbors(id),
-			Peer: s.peerFn,
-		}
-		n, m := s.p.Move(view)
-		s.next[v] = n
-		if m {
-			moved++
-		}
-	}
-	// Shift history: the current states become "1 round ago".
-	last := s.history[len(s.history)-1]
-	copy(s.history[1:], s.history[:len(s.history)-1])
-	copy(last, s.cfg.States)
-	s.history[0] = last
-	// history[0] aliases the slot we just filled with the pre-round
-	// states; install the new states into the live configuration and
-	// refresh history[0] to match (views at lag 0 must see round t).
-	copy(s.cfg.States, s.next)
-	copy(s.history[0], s.cfg.States)
-	if moved > 0 {
-		s.rounds++
-		s.moves += moved
-	}
+	copy(s.spare, s.l.cfg.States)
+	moved := s.l.Step()
+	// The pre-round states become "1 round ago"; the oldest slot is
+	// recycled as the next spare.
+	oldest := s.past[len(s.past)-1]
+	copy(s.past[1:], s.past)
+	s.past[0], s.spare = s.spare, oldest
 	return moved
 }
 
@@ -115,17 +87,17 @@ func (s *StaleLockstep[S]) Step() int {
 // views, a single quiet round does not imply a fixed point: older state
 // may still be observed later) or until maxRounds active rounds.
 func (s *StaleLockstep[S]) Run(maxRounds int) Result {
-	start := s.rounds
+	start := s.Rounds()
 	quiet := 0
-	for s.rounds-start < maxRounds {
+	for s.Rounds()-start < maxRounds {
 		if s.Step() == 0 {
 			quiet++
 			if quiet > s.maxLag {
-				return Result{Rounds: s.rounds - start, Moves: s.moves, Stable: true}
+				return Result{Rounds: s.Rounds() - start, Moves: s.Moves(), Stable: true}
 			}
 		} else {
 			quiet = 0
 		}
 	}
-	return Result{Rounds: s.rounds - start, Moves: s.moves, Stable: false}
+	return Result{Rounds: s.Rounds() - start, Moves: s.Moves(), Stable: false}
 }
