@@ -225,9 +225,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzSMMMove -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzSMIMove -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzShardPartition -fuzztime=30s ./internal/graph/
-	$(GO) test -fuzz=FuzzCSRPatch -fuzztime=30s ./internal/graph/
+	$(GO) test -fuzz=FuzzGraphStore -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzJournalRecover -fuzztime=30s ./internal/service/
 	$(GO) test -fuzz=FuzzSMMChecker -fuzztime=30s ./internal/faults/
+	$(GO) test -fuzz=FuzzSMIChecker -fuzztime=30s ./internal/faults/
 
 clean:
 	$(GO) clean ./...

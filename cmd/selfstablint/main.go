@@ -22,7 +22,7 @@
 // interprocedural allocation summaries (and annotated interface
 // contracts) through the same fact files, and shardsafe runs a
 // must-analysis over the CFG proving every state-vector access in a
-// shard kernel is derived from the shard's owned batch or the CSR rows.
+// shard kernel is derived from the shard's owned batch or the graph's rows.
 // walorder, singlewriter, and ctxflow are the service-invariant tier:
 // they pin the crash-recovery discipline of internal/service — journal
 // append dominates every durable mutation, only the tenant event loop

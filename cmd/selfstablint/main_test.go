@@ -34,7 +34,7 @@ func suite(t *testing.T) []*lint.Analyzer {
 // TestSuiteAcceptsSchedulerPackages is the regression pin for the
 // frontier scheduler and the sharded executor built on it: the full
 // analyzer bundle this command ships must report zero diagnostics over
-// the packages that work touches — the CSR/frontier/partition layer in
+// the packages that work touches — the row-store/frontier/partition layer in
 // internal/graph, the batch and shard kernels in internal/core, the
 // executors (including the sharded barrier runtime in internal/sim),
 // and the fault hooks. A new diagnostic here means either the scheduler

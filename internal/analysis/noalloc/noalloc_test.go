@@ -23,7 +23,7 @@ func TestNoallocCrossPackageFacts(t *testing.T) {
 }
 
 // TestNoallocAcceptsHotPaths is the regression pin for the annotated
-// zero-alloc hot paths: the frontier/CSR/partition layer, the batch and
+// zero-alloc hot paths: the frontier/row-store/partition layer, the batch and
 // shard kernels, and the round loops must pass with zero diagnostics.
 // A new diagnostic here means either a hot path gained a real
 // allocation or the analyzer gained a false positive; both need a

@@ -86,12 +86,12 @@ type Protocol[S comparable] interface {
 // distinct frontiers).
 type Kernel[S comparable] interface {
 	// MoveBatch writes next[id] and moved[id] for every id in ids, from a
-	// direct state vector and a CSR adjacency snapshot. It must be
-	// observationally identical to calling Move per id with a View whose
-	// Peers is states. Allocation-free contract (noalloc).
+	// direct state vector and the graph's row store (g.Neighbors). It
+	// must be observationally identical to calling Move per id with a
+	// View whose Peers is states. Allocation-free contract (noalloc).
 	//
 	//selfstab:noalloc
-	MoveBatch(ids []graph.NodeID, csr *graph.CSR, states []S, next []S, moved []bool)
+	MoveBatch(ids []graph.NodeID, g *graph.Graph, states []S, next []S, moved []bool)
 	// CommitBatch installs next[id] into states[id] for every id in ids
 	// and returns the number of ids with moved[id] set. Allocation-free
 	// contract (noalloc); write-ownership checked by shardsafe.
@@ -110,7 +110,7 @@ type Kernel[S comparable] interface {
 	// (noalloc); phase discipline checked by shardsafe.
 	//
 	//selfstab:noalloc
-	MarkBatch(ids []graph.NodeID, csr *graph.CSR, states []S, moved []bool, f *graph.Frontier)
+	MarkBatch(ids []graph.NodeID, g *graph.Graph, states []S, moved []bool, f *graph.Frontier)
 }
 
 // NeighborAware is implemented by protocols whose states reference

@@ -68,13 +68,9 @@ func (*SMI) Move(v View[bool]) (bool, bool) {
 // state vector, one call per round instead of one per node.
 //
 //selfstab:noalloc
-func (*SMI) MoveBatch(ids []graph.NodeID, csr *graph.CSR, states, next []bool, moved []bool) {
-	offs, nbrs := csr.Rows()
+func (*SMI) MoveBatch(ids []graph.NodeID, g *graph.Graph, states, next []bool, moved []bool) {
 	for _, id := range ids {
-		// Index with an int: an int32 id+1 needs its own sign extension
-		// and bounds check, measurably slower on this short loop body.
-		v := int(id)
-		row := nbrs[offs[v]:offs[v+1]]
+		row := g.Neighbors(id)
 		biggerIn := false
 		for i := len(row) - 1; i >= 0; i-- {
 			j := row[i]
@@ -86,14 +82,14 @@ func (*SMI) MoveBatch(ids []graph.NodeID, csr *graph.CSR, states, next []bool, m
 				break
 			}
 		}
-		self := states[v]
+		self := states[id]
 		switch {
 		case !self && !biggerIn:
-			next[v], moved[v] = true, true // R1: enter the set
+			next[id], moved[id] = true, true // R1: enter the set
 		case self && biggerIn:
-			next[v], moved[v] = false, true // R2: leave the set
+			next[id], moved[id] = false, true // R2: leave the set
 		default:
-			next[v], moved[v] = self, false
+			next[id], moved[id] = self, false
 		}
 	}
 }
@@ -121,21 +117,20 @@ func (*SMI) CommitBatch(ids []graph.NodeID, states, next []bool, moved []bool) i
 
 // MarkBatch implements Kernel. Both rules test only neighbors with
 // bigger IDs, so a state change at id can re-privilege a neighbor w only
-// when w < id — the ascending CSR row makes those a prefix. No self
+// when w < id — the ascending row makes those a prefix. No self
 // re-mark: a mover's next-round privilege depends only on its bigger
 // in-set neighbors, so it can only be re-enabled by a bigger neighbor's
 // change — and that neighbor's mark pass covers its whole smaller-ID
 // prefix, which includes this node. The marks read no states at all,
-// only the CSR, so they are trivially sound in any install order.
+// only the rows, so they are trivially sound in any install order.
 //
 //selfstab:noalloc
-func (*SMI) MarkBatch(ids []graph.NodeID, csr *graph.CSR, _ []bool, moved []bool, f *graph.Frontier) {
-	offs, nbrs := csr.Rows()
+func (*SMI) MarkBatch(ids []graph.NodeID, g *graph.Graph, _ []bool, moved []bool, f *graph.Frontier) {
 	for _, id := range ids {
 		if !moved[id] {
 			continue
 		}
-		for _, w := range nbrs[offs[id]:offs[id+1]] {
+		for _, w := range g.Neighbors(id) {
 			if w >= id {
 				break
 			}

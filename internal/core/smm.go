@@ -287,17 +287,16 @@ func (s *SMM) moveDirectPolicies(id graph.NodeID, nbrs []graph.NodeID, peers []P
 // policy loop is the synchronous executors' hottest code path.
 //
 //selfstab:noalloc
-func (s *SMM) MoveBatch(ids []graph.NodeID, csr *graph.CSR, states, next []Pointer, moved []bool) {
-	offs, nbrs := csr.Rows()
+func (s *SMM) MoveBatch(ids []graph.NodeID, g *graph.Graph, states, next []Pointer, moved []bool) {
 	if s.Accept != AcceptMinID || s.Proposal != ProposeMinID {
 		for _, id := range ids {
-			next[id], moved[id] = s.moveDirect(id, states[id], nbrs[offs[id]:offs[id+1]], states)
+			next[id], moved[id] = s.moveDirect(id, states[id], g.Neighbors(id), states)
 		}
 		return
 	}
 	for _, id := range ids {
 		self := states[id]
-		row := nbrs[offs[id]:offs[id+1]]
+		row := g.Neighbors(id)
 		me := Pointer(id)
 		if self.IsNull() {
 			// One reverse sweep with conditional moves: the last hit in
@@ -391,15 +390,14 @@ func (s *SMM) CommitBatch(ids []graph.NodeID, states, next []Pointer, moved []bo
 // mark pass tests exactly this — can re-enable it.
 //
 //selfstab:noalloc
-func (s *SMM) MarkBatch(ids []graph.NodeID, csr *graph.CSR, states []Pointer, moved []bool, f *graph.Frontier) {
-	offs, nbrs := csr.Rows()
+func (s *SMM) MarkBatch(ids []graph.NodeID, g *graph.Graph, states []Pointer, moved []bool, f *graph.Frontier) {
 	for _, id := range ids {
 		if !moved[id] {
 			continue
 		}
 		f.AddMask(id, states[id] == Null)
 		target := Pointer(id)
-		for _, w := range nbrs[offs[id]:offs[id+1]] {
+		for _, w := range g.Neighbors(id) {
 			pw := states[w]
 			// Exact dependency test, compiled to flag-set-and-or rather
 			// than a data-dependent branch: null neighbors read every

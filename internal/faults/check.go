@@ -5,7 +5,6 @@ import (
 
 	"selfstab/internal/core"
 	"selfstab/internal/graph"
-	"selfstab/internal/verify"
 )
 
 // Checker decides whether a converged configuration is legitimate,
@@ -52,10 +51,50 @@ func matched(st []core.Pointer, v graph.NodeID) bool {
 }
 
 // SMIChecker verifies the SMI legitimacy predicate: the in-set nodes
-// form a maximal independent set.
+// form a maximal independent set. It runs after every service epoch, so
+// it allocates nothing on a legitimate configuration: one scan over the
+// states and rows checks independence at in-set nodes and domination at
+// the others.
+//
+// The violation reported is the one verify.IsMaximalIndependentSet over
+// core.SetOf reports, in its words: an in-set node past the graph's
+// nodes first, then the first in-set node, ascending, with an in-set
+// neighbor (the first such neighbor), and only then the first node left
+// undominated. FuzzSMIChecker pins that equivalence.
 func SMIChecker(cfg core.Config[bool]) error {
-	if err := verify.IsMaximalIndependentSet(cfg.G, core.SetOf(cfg)); err != nil {
-		return fmt.Errorf("SMI: %w", err)
+	st, n := cfg.States, cfg.G.N()
+	for v := n; v < len(st); v++ {
+		if st[v] {
+			return fmt.Errorf("SMI: verify: node %d out of range", v)
+		}
+	}
+	undominated := -1
+	for v := 0; v < n; v++ {
+		id := graph.NodeID(v)
+		member := inSet(st, id)
+		dominated := member
+		for _, w := range cfg.G.Neighbors(id) {
+			if !inSet(st, w) {
+				continue
+			}
+			if member {
+				return fmt.Errorf("SMI: verify: adjacent members %d and %d", v, w)
+			}
+			dominated = true
+			break
+		}
+		if !dominated && undominated < 0 {
+			undominated = v
+		}
+	}
+	if undominated >= 0 {
+		return fmt.Errorf("SMI: verify: node %d not dominated", undominated)
 	}
 	return nil
+}
+
+// inSet reports whether v is in the set; nodes past the state vector
+// are not.
+func inSet(st []bool, v graph.NodeID) bool {
+	return int(v) < len(st) && st[v]
 }

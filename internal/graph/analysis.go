@@ -123,20 +123,45 @@ func IsCutEdge(g *Graph, u, v NodeID) bool {
 	return true
 }
 
-// Validate checks internal invariants (sorted adjacency, symmetry, no
-// self-loops, edge count) and returns an error describing the first
-// violation. It is used by tests and by fuzz-style churn harnesses.
+// Validate checks internal invariants and returns an error describing
+// the first violation: every row lies inside the arena within its own
+// room, no two rows overlap, the dead-slot count matches the arena,
+// neighbor lists are strictly ascending, in range, free of self-loops
+// and symmetric, and the edge count matches them. It is used by tests
+// and by fuzz-style churn harnesses.
 func Validate(g *Graph) error {
+	n := g.N()
+	owned := make([]bool, len(g.arena))
+	room := 0
+	for v, r := range g.rows {
+		if r.start < 0 || r.len < 0 || r.len > r.cap || int(r.start)+int(r.cap) > len(g.arena) {
+			return fmt.Errorf("graph: row of %d (start %d, len %d, cap %d) outside arena of %d", v, r.start, r.len, r.cap, len(g.arena))
+		}
+		for i := r.start; i < r.start+r.cap; i++ {
+			if owned[i] {
+				return fmt.Errorf("graph: row of %d overlaps another row at slot %d", v, i)
+			}
+			owned[i] = true
+		}
+		room += int(r.cap)
+	}
+	if g.dead != len(g.arena)-room {
+		return fmt.Errorf("graph: %d dead slots recorded, arena of %d holds %d", g.dead, len(g.arena), len(g.arena)-room)
+	}
 	count := 0
-	for v, ns := range g.adj {
+	for v := 0; v < n; v++ {
+		ns := g.Neighbors(NodeID(v))
 		for i, u := range ns {
+			if u < 0 || int(u) >= n {
+				return fmt.Errorf("graph: neighbor %d of %d out of range", u, v)
+			}
 			if u == NodeID(v) {
 				return fmt.Errorf("graph: self-loop at %d", v)
 			}
 			if i > 0 && ns[i-1] >= u {
 				return fmt.Errorf("graph: adjacency of %d not strictly sorted", v)
 			}
-			if !containsSorted(g.adj[u], NodeID(v)) {
+			if _, ok := find(g.Neighbors(u), NodeID(v)); !ok {
 				return fmt.Errorf("graph: edge {%d,%d} not symmetric", v, u)
 			}
 			count++

@@ -18,7 +18,7 @@ import (
 // O((hi-lo)/8 + f) in the frontier size f.
 //
 // A Frontier has no "every node" state: executors that must evaluate
-// everyone (round 0, a topology resync) say so with a flag of their own
+// everyone (round 0, an unreported topology edit) say so with a flag of their own
 // and Reset the frontier instead. Concurrent use is safe only as
 // DrainRange and Absorb spell out.
 type Frontier struct {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -240,7 +241,9 @@ func RandomUnitDisk(n int, r0 float64, rng *rand.Rand) (*Graph, []Point) {
 // plus n·(avgDeg-2)/2 sampled extra edges. RandomConnected enumerates
 // all n(n-1)/2 pairs and is quadratic; this is the million-node
 // workhorse for the sharded executor's benchmarks, where the pair sweep
-// would never finish. avgDeg below 2 yields just the tree.
+// would never finish. avgDeg below 2 yields just the tree. The rows,
+// grown edge by edge, are compacted at the end into the layout a bulk
+// build has.
 func RandomSparseConnected(n int, avgDeg float64, rng *rand.Rand) *Graph {
 	g := New(n)
 	for i := 1; i < n; i++ {
@@ -255,55 +258,74 @@ func RandomSparseConnected(n int, avgDeg float64, rng *rand.Rand) *Graph {
 		g.AddEdge(u, v)
 		e++
 	}
+	g.compact(0)
 	return g
 }
 
 // UnitDiskGrid returns exactly the graph UnitDisk(pts, r) — same nodes,
-// same edges — in O(n·deg) expected time instead of O(n²), by hashing
-// points into an r-sized cell grid and testing only the 3x3 cell
-// neighborhood of each point (any pair within distance r lands in
-// adjacent cells). It is the million-node unit-disk generator; the unit
-// tests pin its equality with the quadratic definition.
+// same edges — in O(n·deg) expected time instead of O(n²). It buckets
+// the points by counting sort into a grid of square cells of side at
+// least r, so every pair within distance r lies in the same or adjacent
+// cells and each point tests only its 3x3 cell neighborhood. The side
+// is also at least 1/√n, which keeps the grid at O(n) cells however
+// small r is. The tests run cell by cell over a copy of the points in
+// cell order, so they read memory in order, and FromEdges builds each
+// row once from the pairs found. It is the million-node unit-disk
+// generator; the unit tests pin its equality with the quadratic
+// definition.
 func UnitDiskGrid(pts []Point, r float64) *Graph {
-	g := New(len(pts))
-	if len(pts) == 0 || r <= 0 {
-		return g
+	n := len(pts)
+	if n == 0 || !(r > 0) {
+		return New(n)
 	}
-	cols := int(1/r) + 1
-	cell := func(p Point) (int, int) {
-		cx, cy := int(p.X/r), int(p.Y/r)
-		if cx >= cols {
-			cx = cols - 1
+	side := math.Max(r, 1/math.Sqrt(float64(n)))
+	cols := int(1/side) + 1
+	coord := func(x float64) int {
+		c := x / side
+		switch {
+		case !(c > 0):
+			return 0
+		case c >= float64(cols-1):
+			return cols - 1
 		}
-		if cy >= cols {
-			cy = cols - 1
-		}
-		return cx, cy
+		return int(c)
 	}
-	buckets := make(map[int][]int, len(pts))
+	// Counting sort: cell c's points take slots start[c]:start[c+1], in
+	// ascending ID order; slot k holds point at[k] of node ids[k].
+	cell := make([]int32, n)
+	start := make([]int32, cols*cols+2)
 	for i, p := range pts {
-		cx, cy := cell(p)
-		key := cy*cols + cx
-		buckets[key] = append(buckets[key], i)
+		cell[i] = int32(coord(p.Y)*cols + coord(p.X))
+		start[cell[i]+2]++
 	}
+	for c := 2; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	ids := make([]NodeID, n)
+	at := make([]Point, n)
+	for i, c := range cell {
+		k := start[c+1]
+		start[c+1]++
+		ids[k], at[k] = NodeID(i), pts[i]
+	}
+	// Within a grid row, the three cells of a neighborhood are
+	// consecutive slots.
 	r2 := r * r
-	for i, p := range pts {
-		cx, cy := cell(p)
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				nx, ny := cx+dx, cy+dy
-				if nx < 0 || nx >= cols || ny < 0 || ny >= cols {
-					continue
-				}
-				for _, j := range buckets[ny*cols+nx] {
-					if j > i && p.Dist2(pts[j]) <= r2 {
-						g.AddEdge(NodeID(i), NodeID(j))
+	var es []Edge
+	for c := 0; c < cols*cols; c++ {
+		cx, cy := c%cols, c/cols
+		x0, x1 := max(cx-1, 0), min(cx+1, cols-1)
+		for k := start[c]; k < start[c+1]; k++ {
+			for y := max(cy-1, 0); y <= min(cy+1, cols-1); y++ {
+				for j := start[y*cols+x0]; j < start[y*cols+x1+1]; j++ {
+					if ids[j] > ids[k] && at[k].Dist2(at[j]) <= r2 {
+						es = append(es, Edge{ids[k], ids[j]})
 					}
 				}
 			}
 		}
 	}
-	return g
+	return FromEdges(n, es)
 }
 
 // RandomPermutation returns a uniformly random permutation of 0..n-1 as

@@ -412,3 +412,85 @@ func TestQuickRelabelPreserves(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestVersionCountsMutations(t *testing.T) {
+	g := New(4)
+	if g.Version() != 0 {
+		t.Fatalf("fresh graph version %d", g.Version())
+	}
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	v := g.Version()
+	if v != 2 {
+		t.Fatalf("after 2 adds: version %d", v)
+	}
+	// No-op mutations must not move the version: caches stay valid.
+	g.AddEdge(0, 1)
+	g.RemoveEdge(2, 3)
+	if g.Version() != v {
+		t.Fatalf("no-op mutations moved version %d -> %d", v, g.Version())
+	}
+	g.RemoveEdge(0, 1)
+	if g.Version() != v+1 {
+		t.Fatalf("remove: version %d", g.Version())
+	}
+}
+
+// Building K_40 edge by edge outgrows every row's room several times:
+// rows relocate to the arena tail, and the dead slots they leave must
+// be compacted away before they pass their share of the store.
+func TestStoreRelocatesAndCompacts(t *testing.T) {
+	const n = 40
+	g := New(n)
+	compactions := 0
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			dead := g.dead
+			g.AddEdge(NodeID(u), NodeID(v))
+			if g.dead < dead {
+				compactions++
+			}
+			// A relocation adds at most one row's room (< 2n) past the
+			// bound it checks before moving.
+			if g.dead > (len(g.arena)+n)/deadFraction+2*n {
+				t.Fatalf("after {%d,%d}: %d dead slots in an arena of %d", u, v, g.dead, len(g.arena))
+			}
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("no compaction while building K_40")
+	}
+	if err := Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	if !g.Equal(Complete(n)) {
+		t.Fatal("store differs from Complete(40)")
+	}
+}
+
+// FromEdges lays out each row once and keeps a repeated edge once, in
+// whichever order its endpoints come.
+func TestFromEdges(t *testing.T) {
+	g := FromEdges(5, []Edge{{0, 1}, {3, 2}, {1, 0}, {4, 0}, {2, 3}, {1, 4}})
+	want := New(5)
+	for _, e := range [][2]NodeID{{0, 1}, {2, 3}, {0, 4}, {1, 4}} {
+		want.AddEdge(e[0], e[1])
+	}
+	if !g.Equal(want) || g.M() != 4 {
+		t.Fatalf("FromEdges: %v %v, want %v", g, g.Edges(), want.Edges())
+	}
+	if err := Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	// The rows have no slack, so the next add relocates and a
+	// remove-add pair then fits in place.
+	g.AddEdge(0, 2)
+	g.RemoveEdge(0, 2)
+	g.AddEdge(0, 2)
+	if err := Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	if g.Version() != 3 {
+		t.Fatalf("version %d after three edits of a bulk-built graph", g.Version())
+	}
+}

@@ -89,7 +89,12 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jg)
 }
 
-// UnmarshalJSON decodes the MarshalJSON form, validating every edge.
+// UnmarshalJSON decodes the MarshalJSON form, validating every edge. It
+// decodes into a fresh store and installs it only once every edge has
+// passed, so a rejected input leaves g as it was. The installed graph
+// continues g's version past its old value: an executor that recorded
+// the old one sees the edge set change at its next round, even when the
+// new graph took as many edits to build as the old one.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var jg jsonGraph
 	if err := json.Unmarshal(data, &jg); err != nil {
@@ -98,15 +103,17 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if jg.N < 0 || jg.N > math.MaxInt32 {
 		return fmt.Errorf("graph: node count %d outside [0, %d]", jg.N, math.MaxInt32)
 	}
-	*g = *New(jg.N)
+	h := New(jg.N)
 	for _, e := range jg.Edges {
 		u, v := e[0], e[1]
 		if u < 0 || v < 0 || u >= jg.N || v >= jg.N || u == v {
 			return fmt.Errorf("graph: invalid edge [%d,%d]", u, v)
 		}
-		if !g.AddEdge(NodeID(u), NodeID(v)) {
+		if !h.AddEdge(NodeID(u), NodeID(v)) {
 			return fmt.Errorf("graph: duplicate edge [%d,%d]", u, v)
 		}
 	}
+	h.version = g.version + 1
+	*g = *h
 	return nil
 }

@@ -145,3 +145,25 @@ func TestNodeCountBeyond32Bits(t *testing.T) {
 		}
 	}
 }
+
+// A rejected decode leaves the graph as it was; an accepted one replaces
+// the edge set and moves the version past the old value.
+func TestGraphJSONDecodeInstallsOnlyOnSuccess(t *testing.T) {
+	g := Path(4)
+	v := g.Version()
+	if err := json.Unmarshal([]byte(`{"n": 4, "edges": [[0, 2], [1, 1]]}`), g); err == nil {
+		t.Fatal("self-loop accepted")
+	}
+	if !g.Equal(Path(4)) || g.Version() != v {
+		t.Fatalf("rejected decode left %v at version %d, want the path at %d", g.Edges(), g.Version(), v)
+	}
+	if err := json.Unmarshal([]byte(`{"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}`), g); err != nil {
+		t.Fatal(err)
+	}
+	if !g.Equal(Star(4)) || g.Version() <= v {
+		t.Fatalf("decoded %v at version %d, want the star above %d", g.Edges(), g.Version(), v)
+	}
+	if err := Validate(g); err != nil {
+		t.Fatal(err)
+	}
+}

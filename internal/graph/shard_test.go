@@ -5,19 +5,16 @@ import (
 	"testing"
 )
 
-// checkPartition asserts every structural invariant of a Partition
-// against its CSR: exact range cover, owner consistency, halo
-// soundness/completeness and absorb-span coverage. Shared by the unit
+// checkPartition asserts every structural invariant of a Partition of
+// n nodes: contiguous ranges, balanced to within one node, covering
+// every node exactly once, and owner consistency. Shared by the unit
 // tests and FuzzShardPartition.
-func checkPartition(t *testing.T, c *CSR, p *Partition) {
+func checkPartition(t *testing.T, n int, p *Partition) {
 	t.Helper()
-	n := c.N()
 	k := p.K()
 	if k < 1 {
 		t.Fatalf("K = %d", k)
 	}
-
-	// Ranges: contiguous, balanced to within one node, covering exactly.
 	prev := NodeID(0)
 	for s := 0; s < k; s++ {
 		lo, hi := p.Range(s)
@@ -37,94 +34,31 @@ func checkPartition(t *testing.T, c *CSR, p *Partition) {
 	if int(prev) != n {
 		t.Fatalf("ranges end at %d, want %d", prev, n)
 	}
-
-	// Halos: sorted, deduplicated, exactly the out-of-range neighbors;
-	// every cross-shard edge appears in both endpoints' shards' halos.
-	inHalo := func(s int, v NodeID) bool {
-		h := p.Halo(s)
-		for i := 0; i < len(h); i++ {
-			if h[i] == v {
-				return true
-			}
-		}
-		return false
-	}
-	for s := 0; s < k; s++ {
-		lo, hi := p.Range(s)
-		h := p.Halo(s)
-		want := map[NodeID]bool{}
-		for v := lo; v < hi; v++ {
-			for _, w := range c.Neighbors(v) {
-				if w < lo || w >= hi {
-					want[w] = true
-				}
-			}
-		}
-		if len(h) != len(want) {
-			t.Fatalf("shard %d: halo %v, want the %d out-of-range neighbors", s, h, len(want))
-		}
-		for i, x := range h {
-			if !want[x] {
-				t.Fatalf("shard %d: halo member %d is not an out-of-range neighbor", s, x)
-			}
-			if i > 0 && h[i-1] >= x {
-				t.Fatalf("shard %d: halo not strictly ascending: %v", s, h)
-			}
-			// Every halo member lies inside the absorb span aimed at its
-			// owner — the mark-exchange completeness invariant.
-			d := p.Owner(x)
-			alo, ahi := p.AbsorbSpan(s, d)
-			if x < alo || x >= ahi {
-				t.Fatalf("shard %d: halo member %d outside AbsorbSpan(%d,%d) = [%d,%d)", s, x, s, d, alo, ahi)
-			}
-			dlo, dhi := p.Range(d)
-			if alo < dlo || ahi > dhi {
-				t.Fatalf("AbsorbSpan(%d,%d) = [%d,%d) leaves owner range [%d,%d)", s, d, alo, ahi, dlo, dhi)
-			}
-		}
-	}
-	for u := NodeID(0); int(u) < n; u++ {
-		su := p.Owner(u)
-		for _, w := range c.Neighbors(u) {
-			if sw := p.Owner(w); sw != su {
-				if !inHalo(su, w) || !inHalo(sw, u) {
-					t.Fatalf("cross-shard edge {%d,%d} missing from a halo", u, w)
-				}
-			}
-		}
-	}
 }
 
+// The node counts of the usual test families: paths, cycle, star, grid,
+// complete, random and edgeless graphs. Ranges never look at the edges.
 func TestPartitionInvariantsOnFamilies(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	graphs := []*Graph{
-		Path(1), Path(2), Path(17), Cycle(64), Star(65),
-		Grid(9, 14), Complete(12), RandomConnected(100, 0.05, rng),
-		New(10), // edgeless: empty halos everywhere
-	}
-	for _, g := range graphs {
-		c := g.Snapshot()
+	for _, n := range []int{0, 1, 2, 10, 12, 17, 64, 65, 100, 126} {
 		for _, k := range []int{1, 2, 3, 4, 7, 8, 100} {
-			p := NewPartition(c, k)
-			if p.K() > 1 && p.K() != min(k, g.N()) {
-				t.Fatalf("n=%d k=%d: K = %d", g.N(), k, p.K())
+			p := NewPartition(n, k)
+			if p.K() > 1 && p.K() != min(k, n) {
+				t.Fatalf("n=%d k=%d: K = %d", n, k, p.K())
 			}
-			checkPartition(t, c, p)
+			checkPartition(t, n, p)
 		}
 	}
 }
 
 func TestPartitionClamps(t *testing.T) {
-	c := Path(5).Snapshot()
-	if got := NewPartition(c, 0).K(); got != 1 {
+	if got := NewPartition(5, 0).K(); got != 1 {
 		t.Fatalf("k=0 clamps to %d, want 1", got)
 	}
-	if got := NewPartition(c, 99).K(); got != 5 {
+	if got := NewPartition(5, 99).K(); got != 5 {
 		t.Fatalf("k=99 over 5 nodes clamps to %d, want 5", got)
 	}
-	empty := New(0).Snapshot()
-	if got := NewPartition(empty, 4).K(); got != 1 {
-		t.Fatalf("empty graph partitions into %d shards, want 1", got)
+	if got := NewPartition(0, 4).K(); got != 1 {
+		t.Fatalf("no nodes partition into %d shards, want 1", got)
 	}
 }
 
@@ -169,5 +103,36 @@ func TestUnitDiskGridMatchesQuadratic(t *testing.T) {
 	}
 	if g := UnitDiskGrid([]Point{{0.5, 0.5}}, 0); g.M() != 0 {
 		t.Fatal("r=0 must yield no edges")
+	}
+}
+
+// A radius far below the point spacing must give the edgeless graph
+// quickly: the cell grid is sized by the point count, never by r⁻²
+// (at r = 1e-9 that would be 10¹⁸ cells, and r = 1e-300 overflows).
+func TestUnitDiskGridTinyRadius(t *testing.T) {
+	pts := RandomPoints(1000, rand.New(rand.NewSource(11)))
+	for _, r := range []float64{1e-9, 1e-300} {
+		g := UnitDiskGrid(pts, r)
+		if g.N() != len(pts) || g.M() != 0 {
+			t.Fatalf("r=%g: %v, want 1000 nodes and no edges", r, g)
+		}
+		if err := Validate(g); err != nil {
+			t.Fatalf("r=%g: %v", r, err)
+		}
+	}
+}
+
+// Points outside the unit square land in the border cells, so the grid
+// still finds every pair UnitDisk finds, on every side of the square.
+func TestUnitDiskGridOutsideUnitSquare(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		pts := make([]Point, 100)
+		for i := range pts {
+			pts[i] = Point{rng.Float64()*2 - 0.5, rng.Float64()*2 - 0.5}
+		}
+		if !UnitDiskGrid(pts, 0.2).Equal(UnitDisk(pts, 0.2)) {
+			t.Fatalf("trial %d: grid and quadratic unit-disk graphs differ", trial)
+		}
 	}
 }

@@ -147,17 +147,19 @@ func (e *engine[S]) close() { e.fl.Close() }
 
 // newEngine builds the tenant executor for the named protocol over an
 // initially edge-listed topology, at the given shard count (clamped to
-// [1, n], so the zero value selects one shard).
+// [1, n], so the zero value selects one shard). The graph is built in
+// one pass over the validated list; an edge listed twice is kept once.
 func newEngine(protocol string, n int, edges [][2]int, shards int) (tenantEngine, error) {
-	g := graph.New(n)
-	for _, e := range edges {
+	es := make([]graph.Edge, len(edges))
+	for i, e := range edges {
 		// Checked as ints: NodeID is 32-bit, so converting first would
 		// wrap an out-of-range endpoint into range.
 		if !distinctInRange(e[0], e[1], n) {
 			return nil, fmt.Errorf("invalid edge [%d, %d] for n=%d", e[0], e[1], n)
 		}
-		g.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1]))
+		es[i] = graph.NewEdge(graph.NodeID(e[0]), graph.NodeID(e[1]))
 	}
+	g := graph.FromEdges(n, es)
 	switch protocol {
 	case ProtocolSMM:
 		cfg := core.NewConfig[core.Pointer](g)

@@ -73,8 +73,8 @@ func (f *FaultLockstep[S]) WriteState(v graph.NodeID, s S) {
 // pins on it and runs the dangling-reference repair at both endpoints,
 // mirroring the link layer reporting the loss. Either direction of the
 // flip re-dirties the closed neighborhoods of both endpoints (DirtyEdge
-// also re-syncs the executor's adjacency snapshot, so the fault's
-// footprint stays exact instead of falling back to a full re-dirty).
+// also records the graph version, so the fault's footprint stays exact
+// instead of falling back to a full re-dirty).
 func (f *FaultLockstep[S]) SetLink(e graph.Edge, present bool) {
 	if present {
 		if f.l.cfg.G.AddEdge(e.U, e.V) {

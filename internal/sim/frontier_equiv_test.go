@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -249,6 +250,37 @@ func TestUnhookedEditBeforeHookedFlipIsEvaluated(t *testing.T) {
 	}
 }
 
+// Decoding a graph over a live one replaces the whole edge set behind
+// the executor's back, so the version must move past the value the
+// executor recorded even when the new graph took as many edits to build:
+// Star(4) and Path(4) both take three. SMI's fixed point on the path,
+// [F T F T], leaves node 2 undominated on the star.
+func TestUnmarshalOverLiveGraphIsEvaluated(t *testing.T) {
+	g := graph.Path(4)
+	cfg := core.NewConfig[bool](g)
+	l := NewLockstep[bool](core.NewSMI(), cfg)
+	if res := l.Run(10); !res.Stable {
+		t.Fatalf("did not stabilize: %v", res)
+	}
+	if want := []bool{false, true, false, true}; !reflect.DeepEqual(cfg.States, want) {
+		t.Fatalf("path fixed point %v, want %v", cfg.States, want)
+	}
+	data, err := json.Marshal(graph.Star(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, g); err != nil {
+		t.Fatal(err)
+	}
+	res, err := l.ConvergeCtx(context.Background(), 10)
+	if err != nil || !res.Stable || res.Rounds == 0 {
+		t.Fatalf("ConvergeCtx: %v err=%v, want a stable run with moves", res, err)
+	}
+	if err := faults.SMIChecker(cfg); err != nil {
+		t.Fatalf("stable but not legitimate on the star: %v", err)
+	}
+}
+
 // A lost link repairs the pointers across it: SetLink removing a
 // matched pair's edge leaves both endpoints Null, so the isolated pair
 // is already quiet.
@@ -265,13 +297,12 @@ func TestApplyEventsRepairsPointers(t *testing.T) {
 }
 
 // Two frontier engines share one graph, and every flip goes through the
-// first one's fault adapter: its DirtyEdge advances the graph's shared
-// snapshot in place, under the second engine, which heard of no edit.
-// Each must still land on what a reference engine does with the same
-// edits — the first with its hooked flips, the second with the edits
-// made straight on its graph. The second engine converges only after
-// every other flip, so it also meets two edits in one window; at two
-// shards it must rebuild its halo index over the patched snapshot.
+// first one's fault adapter: it edits the shared row store under the
+// second engine, which heard of no edit. Each must still land on what a
+// reference engine does with the same edits — the first with its hooked
+// flips, the second with the edits made straight on its graph. The
+// second engine, at two shards, converges only after every other flip,
+// so it also meets two edits in one window.
 func TestSharedSnapshotFlipsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(108))
 	for trial := 0; trial < 8; trial++ {

@@ -81,11 +81,9 @@ type Lockstep[S comparable] struct {
 
 	// fullScan selects the reference engine: every round is a full round.
 	fullScan bool
-	// csr is the flat adjacency snapshot serving all neighbor reads, and
-	// topo the graph version the frontier reflects — kept here rather
-	// than read from csr, the graph's shared snapshot, which any
-	// Snapshot call may advance in place.
-	csr  *graph.CSR
+	// topo is the graph version the frontier reflects. Every neighbor
+	// read goes to the graph's row store itself, so there is no derived
+	// adjacency to keep in step — only this version.
 	topo uint64
 	// part splits the node IDs into contiguous ranges, one per shard;
 	// shards[s] holds range s's frontier, drain buffer and counters (see
@@ -107,7 +105,7 @@ type Lockstep[S comparable] struct {
 	// and the generic commit and mark.
 	kern core.Kernel[S]
 
-	fullRound  bool // next round evaluates everyone (Run entry, topology resync)
+	fullRound  bool // next round evaluates everyone (Run entry, unreported topology edit)
 	roundFull  bool // the round in flight is a full round
 	parallel   bool // the round in flight uses the worker pool
 	lastActive int  // drained size of the previous round, the pool heuristic
@@ -147,11 +145,10 @@ func NewShardedLockstep[S comparable](p core.Protocol[S], cfg core.Config[S], sh
 		next:      make([]S, n),
 		moved:     make([]bool, n),
 		fullScan:  referenceScan.Load(),
-		csr:       cfg.G.Snapshot(),
 		topo:      cfg.G.Version(),
+		part:      graph.NewPartition(n, shards),
 		fullRound: true,
 	}
-	l.part = graph.NewPartition(l.csr, shards)
 	l.kern, _ = p.(core.Kernel[S])
 	if l.kern == nil {
 		states := cfg.States // the slice header is stable; only elements change
@@ -228,7 +225,7 @@ func (l *Lockstep[S]) DirtyView(v graph.NodeID) {
 	l.dirty(v)
 }
 
-// DirtyEdge re-syncs the adjacency snapshot after the caller mutated the
+// DirtyEdge records the graph version after the caller mutated the
 // topology on edge {u,v} and re-dirties exactly the affected closed
 // neighborhoods: both endpoints (their neighbor lists changed, and link
 // removal may have repaired their states) and the endpoints' current
@@ -238,30 +235,13 @@ func (l *Lockstep[S]) DirtyView(v graph.NodeID) {
 // round evaluates everyone.
 func (l *Lockstep[S]) DirtyEdge(u, v graph.NodeID) {
 	missed := l.cfg.G.Version()-l.topo > 1
-	l.resync()
+	l.topo = l.cfg.G.Version()
 	if missed {
 		l.addAll()
 		return
 	}
-	for _, x := range [2]graph.NodeID{u, v} {
-		l.dirty(x)
-		for _, w := range l.csr.Neighbors(x) {
-			l.dirty(w)
-		}
-	}
-}
-
-// resync adopts the graph's current snapshot and records its version.
-// Ranges depend only on (n, K), so one shard re-points its partition
-// only at a new snapshot; with K > 1 the halo index follows the edge
-// set and is rebuilt so the next absorb phase still covers every
-// cross-shard mark.
-func (l *Lockstep[S]) resync() {
-	c := l.cfg.G.Snapshot()
-	if c != l.csr || len(l.shards) > 1 {
-		l.part = graph.NewPartition(c, len(l.shards))
-	}
-	l.csr, l.topo = c, l.cfg.G.Version()
+	l.DirtyState(u)
+	l.DirtyState(v)
 }
 
 // Run drives Step from a full round until a round with zero moves or

@@ -55,11 +55,11 @@ const (
 //     next/moved at owned indices — disjoint across shards.
 //   - Commit writes states at owned indices — disjoint.
 //   - Mark reads the fully committed post-round vector and writes only
-//     the shard's own frontier (at owned and halo indices).
+//     the shard's own frontier (at owned nodes and their neighbors).
 //   - Absorb moves the marks other shards left inside this shard's
-//     range (bounded by the partition's halo spans) into its frontier —
-//     writes land in disjoint ranges across shards, so the merge is
-//     race-free and, being commutative flag ORs, order-independent.
+//     range into its frontier — writes land in disjoint ranges across
+//     shards, so the merge is race-free and, being commutative flag ORs,
+//     order-independent.
 //
 // Byte-identity with the reference engine follows from the frontier
 // argument (DESIGN.md §7b): each shard's frontier, after absorb, covers
@@ -69,8 +69,9 @@ const (
 // shard the absorb phase has nothing to do.
 type shard[S comparable] struct {
 	// front is the shard's full-length frontier. The shard drains only
-	// its own range from it; marks it writes outside that range land in
-	// its halo and are pulled over by the owners during absorb. A round
+	// its own range from it; marks it writes outside that range land on
+	// other shards' nodes and are pulled over by the owners during
+	// absorb. A round
 	// that evaluates everyone is Lockstep.fullRound, not a frontier state.
 	front  graph.Frontier
 	ids    []graph.NodeID // drain buffer, cap = range size
@@ -112,16 +113,15 @@ func (l *Lockstep[S]) addAll() {
 // evaluated inactive), so the returned move count equals the full
 // scan's; the reference engine makes every round a full round. Steady-
 // state rounds allocate nothing (pinned by noalloc and the bench gate);
-// the suppressed cold paths run only on topology resync, on the first
-// pooled round, or for protocols without batch kernels.
+// the suppressed cold paths run only on the first pooled round, or for
+// protocols without batch kernels.
 //
 //selfstab:noalloc
 func (l *Lockstep[S]) Step() int {
 	if l.cfg.G.Version() != l.topo {
 		// Unattributed topology change (mobility churn, a test editing the
-		// graph): re-snapshot and re-evaluate everyone.
-		//lint:ignore noalloc cold resync path, runs only when the topology version moved
-		l.resync()
+		// graph): re-evaluate everyone.
+		l.topo = l.cfg.G.Version()
 		l.addAll()
 	}
 	l.roundFull = l.fullRound || l.fullScan
@@ -244,7 +244,7 @@ func (l *Lockstep[S]) evalShard(s int) {
 	ids, states := sh.ids, l.cfg.States
 	filtered := l.peerFilter != nil
 	if l.kern != nil && !filtered {
-		l.kern.MoveBatch(ids, l.csr, states, l.next, l.moved)
+		l.kern.MoveBatch(ids, l.cfg.G, states, l.next, l.moved)
 		return
 	}
 	pv, direct := l.peerFn, states
@@ -257,7 +257,7 @@ func (l *Lockstep[S]) evalShard(s int) {
 		next, m := l.p.Move(core.View[S]{
 			ID:    id,
 			Self:  states[id],
-			Nbrs:  l.csr.Neighbors(id),
+			Nbrs:  l.cfg.G.Neighbors(id),
 			Peer:  pv,
 			Peers: direct,
 		})
@@ -304,18 +304,18 @@ func (l *Lockstep[S]) commitShard(s int) {
 func (l *Lockstep[S]) markShard(s int) {
 	sh := &l.shards[s]
 	f := &sh.front
+	g := l.cfg.G
 	if l.kern != nil {
-		l.kern.MarkBatch(sh.ids, l.csr, l.cfg.States, l.moved, f)
+		l.kern.MarkBatch(sh.ids, g, l.cfg.States, l.moved, f)
 		return
 	}
-	offs, nbrs := l.csr.Rows()
 	for i, id := range sh.ids {
 		if l.moved[id] {
 			f.Add(id)
 		}
 		if sh.chg[i] {
 			f.Add(id)
-			for _, w := range nbrs[offs[id]:offs[id+1]] {
+			for _, w := range g.Neighbors(id) {
 				f.Add(w)
 			}
 		}
@@ -324,19 +324,18 @@ func (l *Lockstep[S]) markShard(s int) {
 
 // absorbShard pulls the marks every other shard left inside shard s's
 // range into s's frontier, visiting sources in ascending shard order.
-// Marks are commutative ORs, so the merge order cannot affect the
-// drained set — the ascending order is just a fixed convention.
+// It scans the whole range of each source's frontier, skipping clean
+// words: the partition is ranges only, so no link flip has an index to
+// rebuild. Marks are commutative ORs, so the merge order cannot affect
+// the drained set — the ascending order is just a fixed convention.
 //
 //selfstab:noalloc
 func (l *Lockstep[S]) absorbShard(s int) {
 	mine := &l.shards[s].front
+	lo, hi := l.part.Range(s)
 	for t := range l.shards {
-		if t == s {
-			continue
-		}
-		alo, ahi := l.part.AbsorbSpan(t, s)
-		if alo < ahi {
-			mine.Absorb(&l.shards[t].front, int(alo), int(ahi))
+		if t != s {
+			mine.Absorb(&l.shards[t].front, int(lo), int(hi))
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // — per-round move counts, per-round state vectors, Result values, fault
 // reports — to the full-scan reference engine on arbitrary graphs,
 // arbitrary initial configurations, and arbitrary fault schedules. Any
-// divergence means a shard-phase invariant is broken (ownership, halo
+// divergence means a shard-phase invariant is broken (ownership, absorb
 // coverage, or barrier placement; see DESIGN.md §7c).
 
 var shardCounts = [4]int{1, 2, 4, 8}
@@ -289,7 +289,7 @@ func TestShardedRunResultMatches(t *testing.T) {
 // Replaying a generated fault schedule on the sharded fault adapter and
 // on the reference adapter must produce deeply equal monitor reports and
 // identical final states at every shard count. This exercises the dirty
-// routing to owning shards and the halo rebuild on link flips.
+// routing to owning shards across link flips.
 func TestShardedFaultScheduleMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(207))
 	for trial := 0; trial < 10; trial++ {
@@ -323,8 +323,8 @@ func TestShardedFaultScheduleMatchesReference(t *testing.T) {
 }
 
 // Direct topology and state edits between Run calls must be absorbed by
-// the version self-detection (which also rebuilds the halo index) and
-// the Run-entry re-dirty at every shard count.
+// the version self-detection and the Run-entry re-dirty at every shard
+// count.
 func TestShardedSurvivesExternalMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(208))
 	for trial := 0; trial < 8; trial++ {
@@ -469,9 +469,8 @@ func TestShardedStepZeroAllocSteadyState(t *testing.T) {
 }
 
 // A link flip must cost what the protocol's own repair costs: removing
-// and re-adding an edge of a converged configuration patches the shared
-// snapshot in place and dirties two closed neighborhoods, allocating
-// nothing.
+// and re-adding an edge of a converged configuration edits both rows in
+// place and dirties two closed neighborhoods, allocating nothing.
 func TestSetLinkPairAllocatesNothing(t *testing.T) {
 	g, _ := graph.RandomUnitDisk(1024, 0.05, rand.New(rand.NewSource(42)))
 	p := core.NewSMM()
