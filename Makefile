@@ -229,6 +229,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzJournalRecover -fuzztime=30s ./internal/service/
 	$(GO) test -fuzz=FuzzSMMChecker -fuzztime=30s ./internal/faults/
 	$(GO) test -fuzz=FuzzSMIChecker -fuzztime=30s ./internal/faults/
+	$(GO) test -fuzz=FuzzLocalChecker -fuzztime=30s ./internal/faults/
 
 clean:
 	$(GO) clean ./...

@@ -11,6 +11,7 @@
 package selfstab
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -521,6 +522,52 @@ func BenchmarkLarge_CheckSMIDisk4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := faults.SMIChecker(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLarge_LocalCheckSMMDisk4096 times the service's per-epoch
+// check against the full scan of BenchmarkLarge_CheckSMMDisk4096: each
+// iteration is one mutation's worth of work on a converged 4096-node
+// unit-disk SMM configuration, a flip of one edge through
+// FaultLockstep.SetLink (alternately cut and restored) reported to the
+// checker, a re-convergence and the local check, which must not fall
+// back to the full scan. It must not allocate: the pinned allocs/op
+// gate holds it at 0.
+func BenchmarkLarge_LocalCheckSMMDisk4096(b *testing.B) {
+	benchLocalCheck(b, core.NewSMM(), benchSMMConfig(largeDisk(4096), 1), faults.NewSMMLocalChecker())
+}
+
+// BenchmarkLarge_LocalCheckSMIDisk4096 is the SMI twin of the SMM
+// local-check row.
+func BenchmarkLarge_LocalCheckSMIDisk4096(b *testing.B) {
+	cfg := core.NewConfig[bool](largeDisk(4096))
+	cfg.Randomize(core.NewSMI(), rand.New(rand.NewSource(1)))
+	benchLocalCheck(b, core.NewSMI(), cfg, faults.NewSMILocalChecker())
+}
+
+func benchLocalCheck[S comparable](b *testing.B, p core.Protocol[S], cfg core.Config[S], lc *faults.LocalChecker[S]) {
+	g, bound := cfg.G, 2*cfg.G.N()+2
+	f := sim.NewFaultLockstep(p, cfg)
+	if res := f.Lockstep().Run(bound); !res.Stable {
+		b.Fatal(res)
+	}
+	if err := lc.Scan(cfg); err != nil {
+		b.Fatal(err)
+	}
+	e := g.Edges()[g.M()/2]
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		before := g.Version()
+		f.SetLink(e, i%2 == 1)
+		lc.Flip(e, before, g.Version())
+		if res, _ := f.Lockstep().ConvergeCtx(ctx, bound); !res.Stable {
+			b.Fatal(res)
+		}
+		if scanned, err := lc.Check(cfg); scanned || err != nil {
+			b.Fatalf("scanned %v, err %v", scanned, err)
 		}
 	}
 }

@@ -409,31 +409,18 @@ func (s *SMM) MarkBatch(ids []graph.NodeID, g *graph.Graph, states []Pointer, mo
 	}
 }
 
-// containsNode reports membership in an ascending neighbor list. Short
-// lists — the common case in the bounded-degree ad hoc topologies — scan
-// linearly: the predictable branch beats binary search's mispredicted
-// halving well past a cache line of IDs.
+// containsNode reports membership in an ascending neighbor list. It
+// scans linearly, as the graph's own row search does: rows of the
+// bounded-degree ad hoc topologies are short.
 //
 //selfstab:noalloc
 func containsNode(nbrs []graph.NodeID, j graph.NodeID) bool {
-	if len(nbrs) <= 32 {
-		for _, x := range nbrs {
-			if x >= j {
-				return x == j
-			}
-		}
-		return false
-	}
-	lo, hi := 0, len(nbrs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if nbrs[mid] < j {
-			lo = mid + 1
-		} else {
-			hi = mid
+	for _, x := range nbrs {
+		if x >= j {
+			return x == j
 		}
 	}
-	return lo < len(nbrs) && nbrs[lo] == j
+	return false
 }
 
 // selectProposal returns the R2 target under the configured policy, and

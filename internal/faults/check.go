@@ -16,8 +16,9 @@ type Checker[S comparable] func(cfg core.Config[S]) error
 // SMMChecker verifies the SMM legitimacy predicate: every non-null
 // pointer targets a neighbor (checked first, because the type
 // classifier is only defined on valid configurations) and the mutually
-// pointing pairs form a maximal matching. It runs after every service
-// epoch, so it allocates nothing on a legitimate configuration.
+// pointing pairs form a maximal matching. It is the oracle and the full
+// scan of NewSMMLocalChecker, so it allocates nothing on a legitimate
+// configuration.
 //
 // Once pointers are valid the pairs are always a matching — one
 // pointer per node puts each node in at most one mutual pair — so only
@@ -43,18 +44,18 @@ func SMMChecker(cfg core.Config[core.Pointer]) error {
 	return nil
 }
 
-// matched reports whether v and its target point at each other; st
-// must hold only null or in-range pointers.
+// matched reports whether v and its target point at each other; a
+// pointer out of range matches nothing.
 func matched(st []core.Pointer, v graph.NodeID) bool {
 	p := st[v]
-	return p != core.Null && st[p] == core.PointAt(v)
+	return p != core.Null && uint(p) < uint(len(st)) && st[p] == core.PointAt(v)
 }
 
 // SMIChecker verifies the SMI legitimacy predicate: the in-set nodes
-// form a maximal independent set. It runs after every service epoch, so
-// it allocates nothing on a legitimate configuration: one scan over the
-// states and rows checks independence at in-set nodes and domination at
-// the others.
+// form a maximal independent set. It is the oracle and the full scan of
+// NewSMILocalChecker, so it allocates nothing on a legitimate
+// configuration: one scan over the states and rows checks independence
+// at in-set nodes and domination at the others.
 //
 // The violation reported is the one verify.IsMaximalIndependentSet over
 // core.SetOf reports, in its words: an in-set node past the graph's

@@ -67,8 +67,11 @@ type tenantEngine interface {
 	// (SMM) or the in-set nodes (SMI), ascending.
 	membership() json.RawMessage
 	// check verifies the legitimacy predicate on the current
-	// configuration (meaningful when converged).
-	check() error
+	// configuration (meaningful when converged): the whole configuration
+	// when full is set, otherwise the region the engine's edits since
+	// the last verified configuration touched. Both give the same
+	// verdict and words.
+	check(full bool) error
 	// edges lists the live topology, ascending, as [u, v] pairs.
 	edges() [][2]int
 	// neighbors returns the live neighbor list of v (graph-owned; copy
@@ -88,14 +91,20 @@ type engine[S comparable] struct {
 	dec  func(json.RawMessage, int) ([]S, error)
 	info func(core.Config[S], graph.NodeID) NodeInfo
 	mem  func(core.Config[S]) json.RawMessage
-	chk  faults.Checker[S]
+	chk  *faults.LocalChecker[S]
+	// fullChecks counts the checks that scanned the whole configuration.
+	fullChecks int
 }
 
 func (e *engine[S]) protocol() string { return e.name }
 func (e *engine[S]) n() int           { return e.cfg.G.N() }
 func (e *engine[S]) m() int           { return e.cfg.G.M() }
 
-func (e *engine[S]) setLink(ed graph.Edge, present bool) { e.fl.SetLink(ed, present) }
+func (e *engine[S]) setLink(ed graph.Edge, present bool) {
+	before := e.cfg.G.Version()
+	e.fl.SetLink(ed, present)
+	e.chk.Flip(ed, before, e.cfg.G.Version())
+}
 
 func (e *engine[S]) corrupt(nodes []graph.NodeID, seed int64) {
 	for i, v := range nodes {
@@ -119,6 +128,7 @@ func (e *engine[S]) decodeStates(raw json.RawMessage) error {
 		return err
 	}
 	copy(e.cfg.States, states)
+	e.chk.Reset()
 	// The restore bypassed the executor's write hooks: re-dirty every
 	// closed neighborhood so the next convergence re-evaluates everyone.
 	l := e.fl.Lockstep()
@@ -130,7 +140,19 @@ func (e *engine[S]) decodeStates(raw json.RawMessage) error {
 
 func (e *engine[S]) nodeInfo(v graph.NodeID) NodeInfo { return e.info(e.cfg, v) }
 func (e *engine[S]) membership() json.RawMessage      { return e.mem(e.cfg) }
-func (e *engine[S]) check() error                     { return e.chk(e.cfg) }
+
+func (e *engine[S]) check(full bool) (err error) {
+	scanned := full
+	if full {
+		err = e.chk.Scan(e.cfg)
+	} else {
+		scanned, err = e.chk.Check(e.cfg)
+	}
+	if scanned {
+		e.fullChecks++
+	}
+	return err
+}
 
 func (e *engine[S]) edges() [][2]int {
 	es := e.cfg.G.Edges()
@@ -175,7 +197,7 @@ func newEngine(protocol string, n int, edges [][2]int, shards int) (tenantEngine
 			dec:  decodePointers,
 			info: smmNodeInfo,
 			mem:  smmMembership,
-			chk:  faults.SMMChecker,
+			chk:  faults.NewSMMLocalChecker(),
 		}, nil
 	case ProtocolSMI:
 		cfg := core.NewConfig[bool](g)
@@ -188,7 +210,7 @@ func newEngine(protocol string, n int, edges [][2]int, shards int) (tenantEngine
 			dec:  decodeBools,
 			info: smiNodeInfo,
 			mem:  smiMembership,
-			chk:  faults.SMIChecker,
+			chk:  faults.NewSMILocalChecker(),
 		}, nil
 	default: // unknown protocols are rejected at tenant creation
 		return nil, fmt.Errorf("unknown protocol %q (want %q or %q)", protocol, ProtocolSMM, ProtocolSMI)

@@ -74,6 +74,7 @@ type tenantSnapshot struct {
 	Converged       bool            `json:"converged"`
 	EpochsOverBound int             `json:"epochs_over_bound"`
 	MaxEpochRounds  int             `json:"max_epoch_rounds"`
+	LastEpochRounds int             `json:"last_epoch_rounds"`
 	Edges           [][2]int        `json:"edges"`
 	States          json.RawMessage `json:"states"`
 	// DedupKeys persists the idempotency window (ascending seq) so a

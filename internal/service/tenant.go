@@ -234,7 +234,7 @@ func (t *tenant) recoverFrom(entries []Mutation) error {
 		if err != nil {
 			return err
 		}
-		t.noteEpoch(rounds, moves, stable, true)
+		t.noteEpoch(0, rounds, moves, stable, true)
 	}
 	for _, m := range entries {
 		if m.Seq <= last {
@@ -258,7 +258,7 @@ func (t *tenant) recoverFrom(entries []Mutation) error {
 			// the stability probe the original run performed.
 			stable = m.Stable
 		}
-		t.noteEpoch(rounds, moves, stable, counted)
+		t.noteEpoch(m.Seq, rounds, moves, stable, counted)
 	}
 	return nil
 }
@@ -296,13 +296,14 @@ func (t *tenant) restore(snap tenantSnapshot) error {
 	t.roundsTotal = snap.Rounds
 	t.movesTotal = snap.Moves
 	t.converged = snap.Converged
+	t.lastEpochRounds = snap.LastEpochRounds
 	t.maxEpochRounds = snap.MaxEpochRounds
 	t.epochsOverBound = snap.EpochsOverBound
 	for _, de := range snap.DedupKeys {
 		remember(t.dedup, &t.dedupR, de.Key, de.Seq)
 	}
 	if snap.Converged {
-		if err := t.eng.check(); err != nil {
+		if err := t.eng.check(true); err != nil {
 			t.checkErr = err.Error()
 		} else {
 			t.legit = true
@@ -648,13 +649,13 @@ func (t *tenant) runEpoch(ctx context.Context, budget int) (rounds, moves int, s
 // cadence. Only the event-loop goroutine calls it, so the lock/unlock
 // seams between the steps admit readers but never writers.
 func (t *tenant) finish(m Mutation, rounds, moves int, stable, counted bool, cerr error) cmdResult {
-	t.noteEpoch(rounds, moves, stable, counted)
+	t.noteEpoch(m.Seq, rounds, moves, stable, counted)
 	res := t.epochResult(m.Seq, rounds)
 	if cerr != nil {
 		res.Err = cerr
 		return res
 	}
-	if t.snapEvery > 0 && m.Seq%t.snapEvery == 0 {
+	if t.checkpointDue(m.Seq) {
 		if err := t.checkpoint(); err != nil {
 			res.Err = err
 		}
@@ -676,10 +677,16 @@ func (t *tenant) journalAppend(m Mutation) error {
 	return t.jr.commit()
 }
 
-// noteEpoch folds one epoch's outcome into the tenant counters.
-// counted=false for explicit converge requests, whose budget is
-// client-chosen and therefore says nothing about the paper's bound.
-func (t *tenant) noteEpoch(rounds, moves int, stable, counted bool) {
+// checkpointDue reports whether the epoch of seq ends at a checkpoint
+// seq (seq 0 is the init epoch's).
+func (t *tenant) checkpointDue(seq int64) bool { return t.snapEvery > 0 && seq%t.snapEvery == 0 }
+
+// noteEpoch folds the outcome of the epoch of seq into the tenant
+// counters. counted=false for explicit converge requests, whose budget
+// is client-chosen and therefore says nothing about the paper's bound.
+// The legitimacy check scans the whole tenant at checkpoint seqs and
+// otherwise only the region the epoch touched.
+func (t *tenant) noteEpoch(seq int64, rounds, moves int, stable, counted bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.roundsTotal += rounds
@@ -697,7 +704,7 @@ func (t *tenant) noteEpoch(rounds, moves int, stable, counted bool) {
 	t.legit = false
 	t.checkErr = ""
 	if stable {
-		if err := t.eng.check(); err != nil {
+		if err := t.eng.check(t.checkpointDue(seq)); err != nil {
 			t.checkErr = err.Error()
 		} else {
 			t.legit = true
@@ -731,6 +738,7 @@ func (t *tenant) checkpoint() error {
 		Converged:       t.converged,
 		EpochsOverBound: t.epochsOverBound,
 		MaxEpochRounds:  t.maxEpochRounds,
+		LastEpochRounds: t.lastEpochRounds,
 		Edges:           t.eng.edges(),
 		States:          t.eng.encodeStates(),
 		DedupKeys:       keys,
