@@ -3,10 +3,14 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"selfstab/internal/graph"
 )
 
 // benchMutations drives a closed-loop mutation stream at the given
@@ -81,5 +85,51 @@ func benchMutations(b *testing.B, depth int) {
 func BenchmarkServiceMutations(b *testing.B) {
 	for _, depth := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { benchMutations(b, depth) })
+	}
+}
+
+// BenchmarkLarge_TenantCheckpointSMM30k times a checkpoint of a tenant
+// the size of bench/'s mut-large ones: 30k nodes on a unit disk of mean
+// degree 10 (~150k edges). Each iteration is one mutation through the
+// event loop, a flap of one edge (alternately cut and restored), with a
+// checkpoint after it: encode, write, fsync, rename, directory fsync
+// and compaction. The drift stays within one edge, so the body is O(n).
+func BenchmarkLarge_TenantCheckpointSMM30k(b *testing.B) { benchCheckpoint(b, ProtocolSMM) }
+
+// BenchmarkLarge_TenantCheckpointSMI30k is the SMI twin of the SMM
+// checkpoint row.
+func BenchmarkLarge_TenantCheckpointSMI30k(b *testing.B) { benchCheckpoint(b, ProtocolSMI) }
+
+func benchCheckpoint(b *testing.B, protocol string) {
+	const n = 30_000
+	g := graph.UnitDiskGrid(graph.RandomPoints(n, rand.New(rand.NewSource(1))), math.Sqrt(10/(math.Pi*n)))
+	edges := make([][2]int, 0, g.M())
+	for _, e := range g.Edges() {
+		edges = append(edges, [2]int{int(e.U), int(e.V)})
+	}
+	meta := tenantMeta{ID: "ckpt", Protocol: protocol, N: n, Seed: 1, Edges: edges}
+	tn, err := newTenant(context.Background(), b.TempDir(), meta, tenantOptions{
+		queueDepth: 1,
+		slice:      64,
+		snapEvery:  1,
+		now:        time.Now,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { tn.close(); <-tn.dead }()
+	flap := edges[len(edges)/2]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op := OpRemoveEdge
+		if i%2 == 1 {
+			op = OpAddEdge
+		}
+		cmd := &command{mut: Mutation{Op: op, U: &flap[0], V: &flap[1]}, reply: make(chan cmdResult, 1)}
+		tn.cmds <- cmd
+		if res := <-cmd.reply; res.Err != nil {
+			b.Fatal(res.Err)
+		}
 	}
 }

@@ -1,13 +1,15 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 
 	"selfstab/internal/core"
 	"selfstab/internal/faults"
@@ -44,9 +46,17 @@ type tenantEngine interface {
 	m() int
 	// setLink makes edge e present or absent, with dangling-reference
 	// repair on removal, and dirties exactly the affected neighborhoods.
+	// Every topology edit goes through it, so it also keeps the drift
+	// exact.
 	//
 	//selfstab:applies
 	setLink(e graph.Edge, present bool)
+	// hasEdge reports whether edge e is live.
+	hasEdge(e graph.Edge) bool
+	// drift returns the edges whose presence differs from the creation
+	// topology the engine was built on: added ones (live now) and
+	// removed ones (absent now), each ascending.
+	drift() (added, removed []graph.Edge)
 	// corrupt overwrites the targeted nodes with arbitrary states drawn
 	// from per-node streams derived from seed.
 	//
@@ -56,24 +66,28 @@ type tenantEngine interface {
 	// active rounds, or ctx cancellation, and returns the active rounds
 	// and moves executed plus whether a fixed point was reached.
 	converge(ctx context.Context, maxRounds int) (rounds, moves int, stable bool, err error)
-	// encodeStates serializes the state vector deterministically.
-	encodeStates() json.RawMessage
-	// decodeStates restores a state vector serialized by encodeStates
+	// appendStates appends the state vector as a JSON array, the bytes
+	// json.Marshal writes for it; statesLen bounds their length.
+	appendStates(b []byte) []byte
+	statesLen() int
+	// decodeStates restores a state vector serialized by appendStates
 	// and re-dirties every node for re-evaluation.
 	decodeStates(raw json.RawMessage) error
 	// nodeInfo reads one node.
 	nodeInfo(v graph.NodeID) NodeInfo
-	// membership serializes the converged structure: the matched edges
-	// (SMM) or the in-set nodes (SMI), ascending.
-	membership() json.RawMessage
+	// appendMembership appends the converged structure as a JSON
+	// object: the matched edges (SMM) or the in-set nodes (SMI),
+	// ascending.
+	appendMembership(b []byte) []byte
 	// check verifies the legitimacy predicate on the current
 	// configuration (meaningful when converged): the whole configuration
 	// when full is set, otherwise the region the engine's edits since
 	// the last verified configuration touched. Both give the same
 	// verdict and words.
 	check(full bool) error
-	// edges lists the live topology, ascending, as [u, v] pairs.
-	edges() [][2]int
+	// appendEdges appends the live topology as a JSON array of [u, v]
+	// pairs, ascending.
+	appendEdges(b []byte) []byte
 	// neighbors returns the live neighbor list of v (graph-owned; copy
 	// before keeping).
 	neighbors(v graph.NodeID) []graph.NodeID
@@ -87,13 +101,18 @@ type engine[S comparable] struct {
 	p    core.Protocol[S]
 	fl   *sim.FaultLockstep[S]
 	cfg  core.Config[S]
-	enc  func([]S) json.RawMessage
+	app  func([]byte, []S) []byte
 	dec  func(json.RawMessage, int) ([]S, error)
 	info func(core.Config[S], graph.NodeID) NodeInfo
-	mem  func(core.Config[S]) json.RawMessage
+	mem  func([]byte, []S) []byte
 	chk  *faults.LocalChecker[S]
+	// width bounds the bytes one encoded state and its comma take.
+	width int
 	// fullChecks counts the checks that scanned the whole configuration.
 	fullChecks int
+	// flipped is the drift: the edges whose presence differs from the
+	// creation topology. Each real flip toggles its edge in or out.
+	flipped map[graph.Edge]struct{}
 }
 
 func (e *engine[S]) protocol() string { return e.name }
@@ -103,8 +122,34 @@ func (e *engine[S]) m() int           { return e.cfg.G.M() }
 func (e *engine[S]) setLink(ed graph.Edge, present bool) {
 	before := e.cfg.G.Version()
 	e.fl.SetLink(ed, present)
-	e.chk.Flip(ed, before, e.cfg.G.Version())
+	after := e.cfg.G.Version()
+	e.chk.Flip(ed, before, after)
+	if after == before {
+		return
+	}
+	if _, ok := e.flipped[ed]; ok {
+		delete(e.flipped, ed)
+	} else {
+		e.flipped[ed] = struct{}{}
+	}
 }
+
+func (e *engine[S]) hasEdge(ed graph.Edge) bool { return e.cfg.G.HasEdge(ed.U, ed.V) }
+
+func (e *engine[S]) drift() (added, removed []graph.Edge) {
+	for ed := range e.flipped {
+		if e.hasEdge(ed) {
+			added = append(added, ed)
+		} else {
+			removed = append(removed, ed)
+		}
+	}
+	slices.SortFunc(added, compareEdges)
+	slices.SortFunc(removed, compareEdges)
+	return added, removed
+}
+
+func compareEdges(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) }
 
 func (e *engine[S]) corrupt(nodes []graph.NodeID, seed int64) {
 	for i, v := range nodes {
@@ -120,7 +165,8 @@ func (e *engine[S]) converge(ctx context.Context, maxRounds int) (int, int, bool
 	return res.Rounds, l.Moves() - movesBefore, res.Stable, err
 }
 
-func (e *engine[S]) encodeStates() json.RawMessage { return e.enc(e.cfg.States) }
+func (e *engine[S]) appendStates(b []byte) []byte { return e.app(b, e.cfg.States) }
+func (e *engine[S]) statesLen() int               { return len(e.cfg.States)*e.width + 2 }
 
 func (e *engine[S]) decodeStates(raw json.RawMessage) error {
 	states, err := e.dec(raw, len(e.cfg.States))
@@ -139,7 +185,12 @@ func (e *engine[S]) decodeStates(raw json.RawMessage) error {
 }
 
 func (e *engine[S]) nodeInfo(v graph.NodeID) NodeInfo { return e.info(e.cfg, v) }
-func (e *engine[S]) membership() json.RawMessage      { return e.mem(e.cfg) }
+
+func (e *engine[S]) appendMembership(b []byte) []byte {
+	// Bounds both bodies: at most n/2 pairs or n IDs, with commas.
+	n := len(e.cfg.States)
+	return e.mem(slices.Grow(b, n*(idLen(n)+2)+len(`{"edges":[]}`)), e.cfg.States)
+}
 
 func (e *engine[S]) check(full bool) (err error) {
 	scanned := full
@@ -154,13 +205,22 @@ func (e *engine[S]) check(full bool) (err error) {
 	return err
 }
 
-func (e *engine[S]) edges() [][2]int {
-	es := e.cfg.G.Edges()
-	out := make([][2]int, len(es))
-	for i, ed := range es {
-		out[i] = [2]int{int(ed.U), int(ed.V)}
+func (e *engine[S]) appendEdges(b []byte) []byte {
+	g := e.cfg.G
+	b = append(b, '[')
+	first := true
+	for u := range g.N() {
+		for _, v := range g.Neighbors(graph.NodeID(u)) {
+			if graph.NodeID(u) < v {
+				if !first {
+					b = append(b, ',')
+				}
+				first = false
+				b = appendPair(b, u, int(v))
+			}
+		}
 	}
-	return out
+	return append(b, ']')
 }
 
 func (e *engine[S]) neighbors(v graph.NodeID) []graph.NodeID { return e.cfg.G.Neighbors(v) }
@@ -189,28 +249,32 @@ func newEngine(protocol string, n int, edges [][2]int, shards int) (tenantEngine
 			cfg.States[v] = core.Null
 		}
 		return &engine[core.Pointer]{
-			name: ProtocolSMM,
-			p:    core.NewSMM(),
-			fl:   sim.NewShardedFaultLockstep(core.NewSMM(), cfg, shards),
-			cfg:  cfg,
-			enc:  encodePointers,
-			dec:  decodePointers,
-			info: smmNodeInfo,
-			mem:  smmMembership,
-			chk:  faults.NewSMMLocalChecker(),
+			name:    ProtocolSMM,
+			p:       core.NewSMM(),
+			fl:      sim.NewShardedFaultLockstep(core.NewSMM(), cfg, shards),
+			cfg:     cfg,
+			app:     appendPointers,
+			dec:     decodePointers,
+			info:    smmNodeInfo,
+			mem:     smmMembership,
+			chk:     faults.NewSMMLocalChecker(),
+			width:   idLen(n) + 1,
+			flipped: map[graph.Edge]struct{}{},
 		}, nil
 	case ProtocolSMI:
 		cfg := core.NewConfig[bool](g)
 		return &engine[bool]{
-			name: ProtocolSMI,
-			p:    core.NewSMI(),
-			fl:   sim.NewShardedFaultLockstep[bool](core.NewSMI(), cfg, shards),
-			cfg:  cfg,
-			enc:  encodeBools,
-			dec:  decodeBools,
-			info: smiNodeInfo,
-			mem:  smiMembership,
-			chk:  faults.NewSMILocalChecker(),
+			name:    ProtocolSMI,
+			p:       core.NewSMI(),
+			fl:      sim.NewShardedFaultLockstep[bool](core.NewSMI(), cfg, shards),
+			cfg:     cfg,
+			app:     appendBools,
+			dec:     decodeBools,
+			info:    smiNodeInfo,
+			mem:     smiMembership,
+			chk:     faults.NewSMILocalChecker(),
+			width:   len("false,"),
+			flipped: map[graph.Edge]struct{}{},
 		}, nil
 	default: // unknown protocols are rejected at tenant creation
 		return nil, fmt.Errorf("unknown protocol %q (want %q or %q)", protocol, ProtocolSMM, ProtocolSMI)
@@ -233,16 +297,60 @@ func protocolBound(protocol string, n int) int {
 	}
 }
 
-func encodePointers(states []core.Pointer) json.RawMessage {
-	vals := make([]int32, len(states))
+// idLen bounds the decimal length of a node ID below n, and of -1.
+func idLen(n int) int { return max(len(strconv.Itoa(n)), 2) }
+
+// pairLen bounds the bytes one [u, v] pair of IDs below n and its comma
+// take.
+func pairLen(n int) int { return 2*idLen(n) + 4 }
+
+// appendPair appends [u,v].
+func appendPair(b []byte, u, v int) []byte {
+	b = append(b, '[')
+	b = strconv.AppendInt(b, int64(u), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(v), 10)
+	return append(b, ']')
+}
+
+// appendEdgeList appends es as a JSON array of [u, v] pairs.
+func appendEdgeList(b []byte, es []graph.Edge) []byte {
+	b = append(b, '[')
+	for i, e := range es {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendPair(b, int(e.U), int(e.V))
+	}
+	return append(b, ']')
+}
+
+// appendJSONString appends s as a JSON string, byte for byte as
+// encoding/json writes it. Printable ASCII that json leaves unescaped is
+// copied as is; anything else goes through json.Marshal, so its
+// escaping rules (HTML characters, control bytes, invalid UTF-8,
+// U+2028 and U+2029) stay its own.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			raw, _ := json.Marshal(s) // a string always marshals
+			return append(b, raw...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+func appendPointers(b []byte, states []core.Pointer) []byte {
+	b = append(b, '[')
 	for i, s := range states {
-		vals[i] = int32(s)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(s), 10)
 	}
-	raw, err := json.Marshal(vals)
-	if err != nil {
-		panic(fmt.Sprintf("service: encode pointers: %v", err))
-	}
-	return raw
+	return append(b, ']')
 }
 
 func decodePointers(raw json.RawMessage, n int) ([]core.Pointer, error) {
@@ -255,17 +363,25 @@ func decodePointers(raw json.RawMessage, n int) ([]core.Pointer, error) {
 	}
 	states := make([]core.Pointer, n)
 	for i, v := range vals {
+		// A pointer past the node range would index out of the state
+		// vector wherever a reader follows it.
+		if v < int32(core.Null) || int(v) >= n {
+			return nil, fmt.Errorf("snapshot state %d of node %d is neither null nor a node in [0, %d)", v, i, n)
+		}
 		states[i] = core.Pointer(v)
 	}
 	return states, nil
 }
 
-func encodeBools(states []bool) json.RawMessage {
-	raw, err := json.Marshal(states)
-	if err != nil {
-		panic(fmt.Sprintf("service: encode bools: %v", err))
+func appendBools(b []byte, states []bool) []byte {
+	b = append(b, '[')
+	for i, s := range states {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendBool(b, s)
 	}
-	return raw
+	return append(b, ']')
 }
 
 func decodeBools(raw json.RawMessage, n int) ([]bool, error) {
@@ -297,40 +413,40 @@ func smiNodeInfo(cfg core.Config[bool], v graph.NodeID) NodeInfo {
 	return NodeInfo{Node: int(v), State: state, InSet: &in, Degree: cfg.G.Degree(v)}
 }
 
-func smmMembership(cfg core.Config[core.Pointer]) json.RawMessage {
-	edges := core.MatchingOf(cfg)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
+// smmMembership appends {"edges": [...]}: the pairs whose pointers meet,
+// as core.MatchingOf finds them. Walking v upward emits each pair once,
+// at its smaller end, so they come out ascending.
+func smmMembership(b []byte, st []core.Pointer) []byte {
+	b = append(b, `{"edges":[`...)
+	first := true
+	for v, p := range st {
+		if p.IsNull() || int(p) <= v || st[p] != core.Pointer(v) {
+			continue
 		}
-		return edges[i].V < edges[j].V
-	})
-	out := make([][2]int, len(edges))
-	for i, e := range edges {
-		out[i] = [2]int{int(e.U), int(e.V)}
+		if !first {
+			b = append(b, ',')
+		}
+		first = false
+		b = appendPair(b, v, int(p))
 	}
-	raw, err := json.Marshal(struct {
-		Edges [][2]int `json:"edges"`
-	}{out})
-	if err != nil {
-		panic(fmt.Sprintf("service: encode matching: %v", err))
-	}
-	return raw
+	return append(b, "]}"...)
 }
 
-func smiMembership(cfg core.Config[bool]) json.RawMessage {
-	set := core.SetOf(cfg)
-	nodes := make([]int, len(set))
-	for i, v := range set {
-		nodes[i] = int(v)
+// smiMembership appends {"nodes": [...]}: the in-set nodes, ascending.
+func smiMembership(b []byte, st []bool) []byte {
+	b = append(b, `{"nodes":[`...)
+	first := true
+	for v, in := range st {
+		if !in {
+			continue
+		}
+		if !first {
+			b = append(b, ',')
+		}
+		first = false
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	raw, err := json.Marshal(struct {
-		Nodes []int `json:"nodes"`
-	}{nodes})
-	if err != nil {
-		panic(fmt.Sprintf("service: encode set: %v", err))
-	}
-	return raw
+	return append(b, "]}"...)
 }
 
 // deriveSeed hashes a tenant seed with a stream name and an index into

@@ -148,13 +148,11 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request, t *tenant
 }
 
 func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request, t *tenant) {
-	writeJSON(w, http.StatusOK, t.snapshotView())
+	writeBody(w, t.snapshotBody())
 }
 
 func (s *Service) handleMembership(w http.ResponseWriter, r *http.Request, t *tenant) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(t.membershipView())
+	writeBody(w, t.membershipBody())
 }
 
 func (s *Service) handleNode(w http.ResponseWriter, r *http.Request, t *tenant) {
@@ -313,6 +311,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeBody writes a 200 response whose JSON body is already encoded.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {

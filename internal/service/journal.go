@@ -63,20 +63,29 @@ const (
 	OpChaosPanic = "chaos_panic"
 )
 
-// tenantSnapshot is a deterministic checkpoint: full state vector plus
-// every counter a restarted tenant must resume with. Written at
-// mutation-sequence boundaries only, so (snapshot, journal entries with
-// seq > Snapshot.Seq) replays to the exact live state.
+// tenantSnapshot is a deterministic checkpoint: full state vector, the
+// topology's drift from meta.json, and every counter a restarted tenant
+// must resume with. Written at mutation-sequence boundaries only, so
+// (meta, snapshot, journal entries with seq > Snapshot.Seq) replays to
+// the exact live state. tenant.checkpointBody encodes it; json.Unmarshal
+// decodes it.
 type tenantSnapshot struct {
-	Seq             int64           `json:"seq"`
-	Rounds          int             `json:"rounds"`
-	Moves           int             `json:"moves"`
-	Converged       bool            `json:"converged"`
-	EpochsOverBound int             `json:"epochs_over_bound"`
-	MaxEpochRounds  int             `json:"max_epoch_rounds"`
-	LastEpochRounds int             `json:"last_epoch_rounds"`
-	Edges           [][2]int        `json:"edges"`
-	States          json.RawMessage `json:"states"`
+	Seq             int64 `json:"seq"`
+	Rounds          int   `json:"rounds"`
+	Moves           int   `json:"moves"`
+	Converged       bool  `json:"converged"`
+	EpochsOverBound int   `json:"epochs_over_bound"`
+	MaxEpochRounds  int   `json:"max_epoch_rounds"`
+	LastEpochRounds int   `json:"last_epoch_rounds"`
+	// Edges is the whole live topology, as checkpoints of the earlier
+	// format hold it (always an array, never null); its presence marks
+	// that format. Current checkpoints omit it.
+	Edges [][2]int `json:"edges,omitempty"`
+	// Added and Removed are the drift: the edges live now but absent
+	// from meta.json's creation topology, and the reverse, ascending.
+	Added   [][2]int        `json:"added"`
+	Removed [][2]int        `json:"removed"`
+	States  json.RawMessage `json:"states"`
 	// DedupKeys persists the idempotency window (ascending seq) so a
 	// recovered tenant still rejects duplicates of pre-crash requests.
 	DedupKeys []dedupEntry `json:"dedup_keys,omitempty"`
@@ -416,6 +425,10 @@ func (j *journal) compact(snapSeq int64) error {
 	return nil
 }
 
+// firstSegment returns the number of the oldest live segment: 1 until
+// a checkpoint lets compact retire segments.
+func (j *journal) firstSegment() int64 { return j.segs[0].num }
+
 // pendingEntries reports how many appends are buffered awaiting the
 // next commit.
 func (j *journal) pendingEntries() int { return j.pendingN }
@@ -482,12 +495,18 @@ func snapshotPath(dir string, seq int64) string {
 	return filepath.Join(dir, fmt.Sprintf("snapshot-%012d.json", seq))
 }
 
-func writeSnapshot(dir string, snap tenantSnapshot) error {
-	raw, err := json.Marshal(snap)
-	if err != nil {
+// writeSnapshot lands the checkpoint body of seq and retires the older
+// checkpoints. Once the caller compacts, recovery depends on this file,
+// so the order is: fsync the body, rename it into place, fsync the
+// directory so the rename is durable, and only then unlink what it
+// licenses, the older checkpoints here and the covered segments in
+// compact. Without the directory fsync a crash could keep the unlinks
+// and lose the checkpoint.
+func writeSnapshot(dir string, seq int64, body []byte) error {
+	if err := atomicWrite(snapshotPath(dir, seq), body); err != nil {
 		return err
 	}
-	if err := atomicWrite(snapshotPath(dir, snap.Seq), raw); err != nil {
+	if err := syncDir(dir); err != nil {
 		return err
 	}
 	// Retire older checkpoints; the newest is self-sufficient.
@@ -496,7 +515,7 @@ func writeSnapshot(dir string, snap tenantSnapshot) error {
 		return err
 	}
 	for _, s := range names {
-		if s < snap.Seq {
+		if s < seq {
 			os.Remove(snapshotPath(dir, s))
 		}
 	}
@@ -512,9 +531,9 @@ func latestSnapshot(dir string) (tenantSnapshot, bool, error) {
 	if err != nil || len(seqs) == 0 {
 		return tenantSnapshot{}, false, err
 	}
-	// Newest first; fall back on a corrupt file (a crash can interleave
-	// with retirement of the previous snapshot only after the new one is
-	// fully on disk, but stay defensive).
+	// Newest first; fall back on an unreadable file. The fallback is only
+	// as good as the journal behind it: recoverFrom fails unless the
+	// entries after the checkpoint it gets are all there.
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
 	for _, s := range seqs {
 		raw, err := os.ReadFile(snapshotPath(dir, s))

@@ -419,16 +419,33 @@ func TestSegmentOutOfOrderFails(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotEdgeFailsRecovery pins loud failure over a panic:
-// a checkpoint that parses but names an edge the engine cannot hold (a
-// self-loop, an endpoint past n) must abort recovery with an error.
+// TestCorruptSnapshotEdgeFailsRecovery pins loud failure over a panic
+// or a silent mis-restore: a checkpoint that parses but names an edge
+// the engine cannot hold (a self-loop, an endpoint past n), in either
+// format, a drift that meta.json contradicts, or a pointer state past
+// n, must abort recovery with an error.
 func TestCorruptSnapshotEdgeFailsRecovery(t *testing.T) {
+	// The tenant is the path 0-1-...-7 plus the added edge {0,7}, so the
+	// drift at seq 1 is added [[0,7]] and removed [].
 	for _, tc := range []struct {
 		name string
-		edge [2]int
+		// parent, when set, rewrites the checkpoint in the earlier
+		// format, whose edges list holds the live topology.
+		parent bool
+		edit   func(s *tenantSnapshot)
+		want   string
 	}{
-		{"self-loop", [2]int{3, 3}},
-		{"out of range", [2]int{3, 99}},
+		{"self-loop", true, func(s *tenantSnapshot) { s.Edges[0] = [2]int{3, 3} }, "distinct endpoints"},
+		{"out of range", true, func(s *tenantSnapshot) { s.Edges[0] = [2]int{3, 99} }, "distinct endpoints"},
+		{"added self-loop", false, func(s *tenantSnapshot) { s.Added[0] = [2]int{3, 3} }, "distinct endpoints"},
+		{"added out of range", false, func(s *tenantSnapshot) { s.Added[0] = [2]int{3, 99} }, "distinct endpoints"},
+		{"removed self-loop", false, func(s *tenantSnapshot) { s.Removed = [][2]int{{3, 3}} }, "distinct endpoints"},
+		{"removed out of range", false, func(s *tenantSnapshot) { s.Removed = [][2]int{{3, 99}} }, "distinct endpoints"},
+		{"added edge meta has", false, func(s *tenantSnapshot) { s.Added = [][2]int{{0, 1}, {0, 7}} }, "contradicts meta.json"},
+		{"removed edge meta lacks", false, func(s *tenantSnapshot) { s.Removed = [][2]int{{0, 5}} }, "contradicts meta.json"},
+		{"added twice", false, func(s *tenantSnapshot) { s.Added = [][2]int{{0, 7}, {0, 7}} }, "ascending order"},
+		{"drift beside edges", true, func(s *tenantSnapshot) { s.Added = [][2]int{{0, 7}} }, "both edges and a drift"},
+		{"pointer past n", false, func(s *tenantSnapshot) { s.States = json.RawMessage(`[99,-1,-1,-1,-1,-1,-1,-1]`) }, "neither null nor a node"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -439,6 +456,8 @@ func TestCorruptSnapshotEdgeFailsRecovery(t *testing.T) {
 			h := svc.Handler()
 			pathTenant(t, h, "snap", ProtocolSMM, 8)
 			applyScript(t, h, "snap", mutationScript(8)[:1])
+			var view SnapshotView
+			doJSON(t, h, "GET", "/v1/tenants/snap/snapshot", nil, &view)
 			svc.Kill()
 
 			path := snapshotPath(tenantDir(dir, "snap"), 1)
@@ -450,16 +469,27 @@ func TestCorruptSnapshotEdgeFailsRecovery(t *testing.T) {
 			if err := json.Unmarshal(raw, &snap); err != nil {
 				t.Fatal(err)
 			}
-			snap.Edges[0] = tc.edge
-			if raw, err = json.Marshal(snap); err != nil {
+			if len(snap.Added) != 1 || len(snap.Removed) != 0 {
+				t.Fatalf("checkpoint drift added %v removed %v, want one added edge", snap.Added, snap.Removed)
+			}
+			if tc.parent {
+				snap.Edges, snap.Added, snap.Removed = view.Edges, nil, nil
+			}
+			tc.edit(&snap)
+			if tc.parent {
+				raw, err = json.Marshal(parentSnapshotOf(snap))
+			} else {
+				raw, err = json.Marshal(snap)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := Open(Options{DataDir: dir}); err == nil ||
-				!strings.Contains(err.Error(), "restore snapshot seq 1") {
-				t.Fatalf("Open with snapshot edge %v: err=%v, want a restore failure", tc.edge, err)
+				!strings.Contains(err.Error(), "restore snapshot seq 1") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open with checkpoint %s: err=%v, want a restore failure saying %q", raw, err, tc.want)
 			}
 		})
 	}

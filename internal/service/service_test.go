@@ -60,13 +60,9 @@ func doJSON(t *testing.T, h http.Handler, method, path string, body any, out any
 // pathTenant creates a path-graph tenant and waits for its init epoch.
 func pathTenant(t *testing.T, h http.Handler, id, protocol string, n int) TenantStatus {
 	t.Helper()
-	edges := make([][2]int, 0, n-1)
-	for v := 1; v < n; v++ {
-		edges = append(edges, [2]int{v - 1, v})
-	}
 	var st TenantStatus
 	code, _ := doJSON(t, h, "POST", "/v1/tenants", createRequest{
-		ID: id, Protocol: protocol, N: n, Seed: 42, Edges: edges,
+		ID: id, Protocol: protocol, N: n, Seed: 42, Edges: pathEdges(n),
 	}, &st)
 	if code != http.StatusCreated {
 		t.Fatalf("create tenant %s: status %d", id, code)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -64,9 +65,10 @@ type TenantStatus struct {
 	QueueCap        int    `json:"queue_cap"`
 }
 
-// SnapshotView is the read model served by GET .../snapshot: the same
-// deterministic content a checkpoint file holds, read at a consistent
-// point under the tenant lock.
+// SnapshotView is the read model served by GET .../snapshot: the live
+// topology and states, read at a consistent point under the tenant
+// lock. tenant.snapshotBody appends it field by field, byte for byte as
+// encoding/json writes this struct.
 type SnapshotView struct {
 	ID              string          `json:"id"`
 	Protocol        string          `json:"protocol"`
@@ -85,8 +87,9 @@ type SnapshotView struct {
 // journal, handlers are readers via mu, and the bounded cmds channel is
 // the backpressure boundary the HTTP layer surfaces as 503.
 type tenant struct {
-	id        string
-	meta      tenantMeta
+	id string
+	// seed is meta.json's seed, from which corruption streams derive.
+	seed      int64
 	dir       string
 	bound     int
 	slice     int
@@ -189,7 +192,7 @@ func newTenant(svcCtx context.Context, dir string, meta tenantMeta, opts tenantO
 	}
 	t := &tenant{
 		id:        meta.ID,
-		meta:      meta,
+		seed:      meta.Seed,
 		dir:       dir,
 		bound:     protocolBound(meta.Protocol, meta.N),
 		slice:     opts.slice,
@@ -203,7 +206,7 @@ func newTenant(svcCtx context.Context, dir string, meta tenantMeta, opts tenantO
 		jr:        jr,
 		dedup:     make(map[string]int64),
 	}
-	if err := t.recoverFrom(entries); err != nil {
+	if err := t.recoverFrom(entries, jr.firstSegment()); err != nil {
 		t.closeResources()
 		return nil, err
 	}
@@ -215,10 +218,20 @@ func newTenant(svcCtx context.Context, dir string, meta tenantMeta, opts tenantO
 // runs before the event loop starts, so there is no contention; the
 // helpers it calls still lock, keeping the guarded-field discipline
 // uniform.
-func (t *tenant) recoverFrom(entries []Mutation) error {
+//
+// Replay starts right after the restored seq (or at seq 1) and needs
+// every seq from there on: live seqs are contiguous, so a hole means a
+// lost or unreadable checkpoint, or lost entries, and replaying around
+// it would land on a state no client was acknowledged. firstSeg is the
+// journal's oldest segment. Only a checkpoint retires segment 1, so
+// without one an empty journal must still start there.
+func (t *tenant) recoverFrom(entries []Mutation, firstSeg int64) error {
 	snap, haveSnap, err := latestSnapshot(t.dir)
 	if err != nil {
 		return err
+	}
+	if !haveSnap && len(entries) == 0 && firstSeg > 1 {
+		return fmt.Errorf("journal starts at empty segment %d, and no readable checkpoint covers the compacted ones before it", firstSeg)
 	}
 	var last int64
 	if haveSnap {
@@ -236,9 +249,13 @@ func (t *tenant) recoverFrom(entries []Mutation) error {
 		}
 		t.noteEpoch(0, rounds, moves, stable, true)
 	}
-	for _, m := range entries {
-		if m.Seq <= last {
-			continue
+	covered := 0
+	for covered < len(entries) && entries[covered].Seq <= last {
+		covered++
+	}
+	for _, m := range entries[covered:] {
+		if m.Seq != last+1 {
+			return fmt.Errorf("replay: journal entry seq %d follows seq %d; a checkpoint or the entries between them are missing or unreadable", m.Seq, last)
 		}
 		last = m.Seq
 		if err := t.replayEntry(m); err != nil {
@@ -264,30 +281,26 @@ func (t *tenant) recoverFrom(entries []Mutation) error {
 }
 
 // restore reconciles the engine (built from meta's topology and clean
-// states) to a checkpoint.
+// states) to a checkpoint. A checkpoint holds the topology either as
+// its drift from meta.json (added and removed) or, in the earlier
+// format, as the whole live edge list (edges). Either is parseable JSON
+// from disk, not a value the live path produced: an edge graph.NewEdge
+// or setLink would panic on, or a drift meta.json contradicts, fails
+// recovery with an error before the engine is touched, as a poisoned
+// journal entry does.
 //
 //selfstab:replay
 func (t *tenant) restore(snap tenantSnapshot) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	want := make(map[[2]int]bool, len(snap.Edges))
-	for _, e := range snap.Edges {
-		// A checkpoint is parseable JSON from disk, not a value the live
-		// path produced: an edge graph.NewEdge or setLink would panic on
-		// must fail recovery with an error before the engine is touched,
-		// as a poisoned journal entry does.
-		if !distinctInRange(e[0], e[1], t.eng.n()) {
-			return fmt.Errorf("edge %v needs distinct endpoints in [0, %d)", e, t.eng.n())
-		}
-		want[e] = true
+	var err error
+	if snap.Edges != nil {
+		err = restoreEdges(t.eng, snap)
+	} else {
+		err = restoreDrift(t.eng, snap)
 	}
-	for _, e := range t.eng.edges() {
-		if !want[e] {
-			t.eng.setLink(graph.NewEdge(graph.NodeID(e[0]), graph.NodeID(e[1])), false)
-		}
-	}
-	for _, e := range snap.Edges {
-		t.eng.setLink(graph.NewEdge(graph.NodeID(e[0]), graph.NodeID(e[1])), true)
+	if err != nil {
+		return err
 	}
 	if err := t.eng.decodeStates(snap.States); err != nil {
 		return err
@@ -311,6 +324,81 @@ func (t *tenant) restore(snap tenantSnapshot) error {
 	}
 	return nil
 }
+
+// restoreEdges diffs the live topology against an earlier-format
+// checkpoint's full edge list.
+//
+//selfstab:replay
+func restoreEdges(eng tenantEngine, snap tenantSnapshot) error {
+	if snap.Added != nil || snap.Removed != nil {
+		return errors.New("checkpoint holds both edges and a drift")
+	}
+	n := eng.n()
+	want := make(map[graph.Edge]bool, len(snap.Edges))
+	for _, p := range snap.Edges {
+		if !distinctInRange(p[0], p[1], n) {
+			return fmt.Errorf("edge %v needs distinct endpoints in [0, %d)", p, n)
+		}
+		want[edgeOf(p)] = true
+	}
+	var gone []graph.Edge
+	for u := range n {
+		for _, v := range eng.neighbors(graph.NodeID(u)) {
+			if e := (graph.Edge{U: graph.NodeID(u), V: v}); e.U < e.V && !want[e] {
+				gone = append(gone, e)
+			}
+		}
+	}
+	for _, e := range gone {
+		eng.setLink(e, false)
+	}
+	for _, p := range snap.Edges {
+		eng.setLink(edgeOf(p), true)
+	}
+	return nil
+}
+
+// restoreDrift applies a checkpoint's drift to the creation topology
+// the engine still holds, once both sides check out against it.
+//
+//selfstab:replay
+func restoreDrift(eng tenantEngine, snap tenantSnapshot) error {
+	if err := checkDrift(eng, "removed", snap.Removed, true); err != nil {
+		return err
+	}
+	if err := checkDrift(eng, "added", snap.Added, false); err != nil {
+		return err
+	}
+	for _, p := range snap.Removed {
+		eng.setLink(edgeOf(p), false)
+	}
+	for _, p := range snap.Added {
+		eng.setLink(edgeOf(p), true)
+	}
+	return nil
+}
+
+// checkDrift validates one side of a drift against the creation
+// topology: ascending pairs u < v in range, each of them in meta.json's
+// topology exactly when inMeta is set.
+func checkDrift(eng tenantEngine, side string, pairs [][2]int, inMeta bool) error {
+	n := eng.n()
+	for i, p := range pairs {
+		if !distinctInRange(p[0], p[1], n) {
+			return fmt.Errorf("%s edge %v needs distinct endpoints in [0, %d)", side, p, n)
+		}
+		if p[0] > p[1] || i > 0 && compareEdges(edgeOf(pairs[i-1]), edgeOf(p)) >= 0 {
+			return fmt.Errorf("%s edge %v is out of ascending order", side, p)
+		}
+		if eng.hasEdge(edgeOf(p)) != inMeta {
+			return fmt.Errorf("%s edge %v contradicts meta.json", side, p)
+		}
+	}
+	return nil
+}
+
+// edgeOf converts a pair that passed distinctInRange.
+func edgeOf(p [2]int) graph.Edge { return graph.NewEdge(graph.NodeID(p[0]), graph.NodeID(p[1])) }
 
 // replayEntry re-applies one journaled mutation during recovery: seq,
 // idempotency key, and the topology/state change (convergence follows
@@ -562,7 +650,7 @@ func (t *tenant) prepare(m *Mutation) (cmdResult, bool) {
 	if m.Op == OpCorrupt {
 		// Per-mutation corruption stream: a function of (tenant seed,
 		// seq), so replaying the journal redraws identical states.
-		m.Seed = deriveSeed(t.meta.Seed, "mutation", int(m.Seq))
+		m.Seed = deriveSeed(t.seed, "mutation", int(m.Seq))
 	}
 	if m.Op != OpConverge {
 		if err := t.jr.append(*m); err != nil {
@@ -720,34 +808,73 @@ func (t *tenant) epochResult(seq int64, rounds int) cmdResult {
 
 // checkpoint writes a deterministic snapshot of the current
 // (mutation-boundary) state, then retires every journal segment the
-// snapshot wholly covers.
+// snapshot wholly covers. Only the event loop calls it, so nothing
+// changes between the encode and the compaction, and readers need not
+// wait behind the write and its fsyncs.
 func (t *tenant) checkpoint() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.quarantined != "" {
+	seq, body := t.checkpointBody()
+	if body == nil {
 		return nil
 	}
+	if err := writeSnapshot(t.dir, seq, body); err != nil {
+		return err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	// Replay now starts from this snapshot: segments whose entries all
+	// fall at or before it can never be read again.
+	return t.jr.compact(seq)
+}
+
+// headLen is room for a body's fixed fields at their widest.
+const headLen = 320
+
+// checkpointBody encodes the checkpoint of the current seq, or returns
+// a nil body for a quarantined tenant, which must not checkpoint. The
+// body is tenantSnapshot's fields in its order, byte for byte as
+// json.Marshal writes them, with the topology as its drift from
+// meta.json. One buffer sized from n, the drift and the dedup window
+// holds it all, so a checkpoint costs O(n + drift) whatever the edge
+// count.
+func (t *tenant) checkpointBody() (int64, []byte) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if t.quarantined != "" {
+		return 0, nil
+	}
+	added, removed := t.eng.drift()
+	size := headLen + (len(added)+len(removed))*pairLen(t.eng.n()) + t.eng.statesLen()
+	for i := range t.dedupR.n {
+		size += len(`{"key":"","seq":},`) + len(t.dedupR.at(i).Key) + 20
+	}
+	b := make([]byte, 0, size)
+	b = strconv.AppendInt(append(b, `{"seq":`...), t.seq, 10)
+	b = strconv.AppendInt(append(b, `,"rounds":`...), int64(t.roundsTotal), 10)
+	b = strconv.AppendInt(append(b, `,"moves":`...), int64(t.movesTotal), 10)
+	b = strconv.AppendBool(append(b, `,"converged":`...), t.converged)
+	b = strconv.AppendInt(append(b, `,"epochs_over_bound":`...), int64(t.epochsOverBound), 10)
+	b = strconv.AppendInt(append(b, `,"max_epoch_rounds":`...), int64(t.maxEpochRounds), 10)
+	b = strconv.AppendInt(append(b, `,"last_epoch_rounds":`...), int64(t.lastEpochRounds), 10)
+	b = appendEdgeList(append(b, `,"added":`...), added)
+	b = appendEdgeList(append(b, `,"removed":`...), removed)
+	b = t.eng.appendStates(append(b, `,"states":`...))
 	// The ring yields the window oldest-first, i.e. ascending seq: live
 	// inserts follow seq assignment and restore re-inserts in stored
 	// order.
-	keys := t.dedupR.entries()
-	if err := writeSnapshot(t.dir, tenantSnapshot{
-		Seq:             t.seq,
-		Rounds:          t.roundsTotal,
-		Moves:           t.movesTotal,
-		Converged:       t.converged,
-		EpochsOverBound: t.epochsOverBound,
-		MaxEpochRounds:  t.maxEpochRounds,
-		LastEpochRounds: t.lastEpochRounds,
-		Edges:           t.eng.edges(),
-		States:          t.eng.encodeStates(),
-		DedupKeys:       keys,
-	}); err != nil {
-		return err
+	if t.dedupR.n > 0 {
+		b = append(b, `,"dedup_keys":[`...)
+		for i := range t.dedupR.n {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			de := t.dedupR.at(i)
+			b = appendJSONString(append(b, `{"key":`...), de.Key)
+			b = strconv.AppendInt(append(b, `,"seq":`...), de.Seq, 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
 	}
-	// Replay now starts from this snapshot: segments whose entries all
-	// fall at or before it can never be read again.
-	return t.jr.compact(t.seq)
+	return t.seq, append(b, '}')
 }
 
 // flush writes a final checkpoint on graceful shutdown, unless a kill
@@ -804,27 +931,31 @@ func (t *tenant) status() TenantStatus {
 	}
 }
 
-func (t *tenant) snapshotView() SnapshotView {
+// snapshotBody returns the GET .../snapshot body: SnapshotView's fields
+// in its order, byte for byte as writeJSON encodes the struct, trailing
+// newline included, in one buffer sized from n and m.
+func (t *tenant) snapshotBody() []byte {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return SnapshotView{
-		ID:              t.id,
-		Protocol:        t.eng.protocol(),
-		Seq:             t.seq,
-		Converged:       t.converged,
-		Edges:           t.eng.edges(),
-		States:          t.eng.encodeStates(),
-		Rounds:          t.roundsTotal,
-		Moves:           t.movesTotal,
-		MaxEpochRounds:  t.maxEpochRounds,
-		EpochsOverBound: t.epochsOverBound,
-	}
+	b := make([]byte, 0, headLen+len(t.id)+t.eng.m()*pairLen(t.eng.n())+t.eng.statesLen())
+	b = appendJSONString(append(b, `{"id":`...), t.id)
+	b = appendJSONString(append(b, `,"protocol":`...), t.eng.protocol())
+	b = strconv.AppendInt(append(b, `,"seq":`...), t.seq, 10)
+	b = strconv.AppendBool(append(b, `,"converged":`...), t.converged)
+	b = t.eng.appendEdges(append(b, `,"edges":`...))
+	b = t.eng.appendStates(append(b, `,"states":`...))
+	b = strconv.AppendInt(append(b, `,"rounds":`...), int64(t.roundsTotal), 10)
+	b = strconv.AppendInt(append(b, `,"moves":`...), int64(t.movesTotal), 10)
+	b = strconv.AppendInt(append(b, `,"max_epoch_rounds":`...), int64(t.maxEpochRounds), 10)
+	b = strconv.AppendInt(append(b, `,"epochs_over_bound":`...), int64(t.epochsOverBound), 10)
+	return append(b, "}\n"...)
 }
 
-func (t *tenant) membershipView() json.RawMessage {
+// membershipBody returns the GET .../membership body.
+func (t *tenant) membershipBody() []byte {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.eng.membership()
+	return t.eng.appendMembership(nil)
 }
 
 func (t *tenant) node(v int) (NodeInfo, error) {
@@ -884,14 +1015,8 @@ func (r *dedupRing) push(e dedupEntry) (evicted dedupEntry, full bool) {
 	return dedupEntry{}, false
 }
 
-// entries returns the window oldest-first.
-func (r *dedupRing) entries() []dedupEntry {
-	out := make([]dedupEntry, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.head+i)%len(r.buf)])
-	}
-	return out
-}
+// at returns the i-th oldest entry of the window, for i < n.
+func (r *dedupRing) at(i int) dedupEntry { return r.buf[(r.head+i)%len(r.buf)] }
 
 // remember records key→seq in the dedup window, evicting the oldest
 // key in place when the ring is full. The caller owns the lock guarding
