@@ -228,6 +228,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzGraphStore -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzJournalRecover -fuzztime=30s ./internal/service/
 	$(GO) test -fuzz=FuzzCheckpointDrift -fuzztime=30s ./internal/service/
+	$(GO) test -fuzz=FuzzTenantMeta -fuzztime=30s ./internal/service/
 	$(GO) test -fuzz=FuzzSMMChecker -fuzztime=30s ./internal/faults/
 	$(GO) test -fuzz=FuzzSMIChecker -fuzztime=30s ./internal/faults/
 	$(GO) test -fuzz=FuzzLocalChecker -fuzztime=30s ./internal/faults/

@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -100,13 +104,20 @@ func BenchmarkLarge_TenantCheckpointSMM30k(b *testing.B) { benchCheckpoint(b, Pr
 // checkpoint row.
 func BenchmarkLarge_TenantCheckpointSMI30k(b *testing.B) { benchCheckpoint(b, ProtocolSMI) }
 
-func benchCheckpoint(b *testing.B, protocol string) {
-	const n = 30_000
-	g := graph.UnitDiskGrid(graph.RandomPoints(n, rand.New(rand.NewSource(1))), math.Sqrt(10/(math.Pi*n)))
+// largeEdges is the topology of the 30k-node rows: a unit disk of mean
+// degree 10 (~150k edges), the shape of bench/'s mut-large tenants.
+func largeEdges(n int) [][2]int {
+	g := graph.UnitDiskGrid(graph.RandomPoints(n, rand.New(rand.NewSource(1))), math.Sqrt(10/(math.Pi*float64(n))))
 	edges := make([][2]int, 0, g.M())
 	for _, e := range g.Edges() {
 		edges = append(edges, [2]int{int(e.U), int(e.V)})
 	}
+	return edges
+}
+
+func benchCheckpoint(b *testing.B, protocol string) {
+	const n = 30_000
+	edges := largeEdges(n)
 	meta := tenantMeta{ID: "ckpt", Protocol: protocol, N: n, Seed: 1, Edges: edges}
 	tn, err := newTenant(context.Background(), b.TempDir(), meta, tenantOptions{
 		queueDepth: 1,
@@ -131,5 +142,45 @@ func benchCheckpoint(b *testing.B, protocol string) {
 		if res := <-cmd.reply; res.Err != nil {
 			b.Fatal(res.Err)
 		}
+	}
+}
+
+// BenchmarkLarge_TenantCreateSMM30k times one create of a tenant the
+// size of bench/'s mut-large ones through the HTTP handler, as POST
+// /v1/tenants serves it: decoding the body, validating it, writing
+// meta.json and the directory fsyncs, building the graph, opening the
+// journal and running the init epoch, up to the 201. The tenant is
+// deleted again off the clock.
+func BenchmarkLarge_TenantCreateSMM30k(b *testing.B) { benchCreate(b, ProtocolSMM) }
+
+// BenchmarkLarge_TenantCreateSMI30k is the SMI twin of the SMM create
+// row.
+func BenchmarkLarge_TenantCreateSMI30k(b *testing.B) { benchCreate(b, ProtocolSMI) }
+
+func benchCreate(b *testing.B, protocol string) {
+	const n = 30_000
+	body, err := json.Marshal(tenantMeta{ID: "big", Protocol: protocol, N: n, Seed: 1, Edges: largeEdges(n)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, err := Open(Options{DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	h := svc.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/tenants", bytes.NewReader(body)))
+		if w.Code != http.StatusCreated {
+			b.Fatalf("create: status %d: %s", w.Code, w.Body)
+		}
+		b.StopTimer()
+		if err := svc.DeleteTenant(context.Background(), "big"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

@@ -230,16 +230,12 @@ func (e *engine[S]) close() { e.fl.Close() }
 // newEngine builds the tenant executor for the named protocol over an
 // initially edge-listed topology, at the given shard count (clamped to
 // [1, n], so the zero value selects one shard). The graph is built in
-// one pass over the validated list; an edge listed twice is kept once.
+// one pass over the list, which validateMeta has checked; an edge
+// listed twice is kept once.
 func newEngine(protocol string, n int, edges [][2]int, shards int) (tenantEngine, error) {
 	es := make([]graph.Edge, len(edges))
 	for i, e := range edges {
-		// Checked as ints: NodeID is 32-bit, so converting first would
-		// wrap an out-of-range endpoint into range.
-		if !distinctInRange(e[0], e[1], n) {
-			return nil, fmt.Errorf("invalid edge [%d, %d] for n=%d", e[0], e[1], n)
-		}
-		es[i] = graph.NewEdge(graph.NodeID(e[0]), graph.NodeID(e[1]))
+		es[i] = edgeOf(e)
 	}
 	g := graph.FromEdges(n, es)
 	switch protocol {

@@ -21,15 +21,6 @@ type MutationResult struct {
 	Bound     int    `json:"bound"`
 }
 
-// createRequest is the body of POST /v1/tenants.
-type createRequest struct {
-	ID       string   `json:"id"`
-	Protocol string   `json:"protocol"`
-	N        int      `json:"n"`
-	Seed     int64    `json:"seed"`
-	Edges    [][2]int `json:"edges"`
-}
-
 // convergeRequest is the body of POST .../converge.
 type convergeRequest struct {
 	Rounds int    `json:"rounds"`
@@ -104,18 +95,12 @@ func (s *Service) handleListTenants(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
-	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	meta, err := decodeCreate(r.Body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
 		return
 	}
-	t, err := s.CreateTenant(tenantMeta{
-		ID:       req.ID,
-		Protocol: req.Protocol,
-		N:        req.N,
-		Seed:     req.Seed,
-		Edges:    req.Edges,
-	})
+	t, err := s.CreateTenant(meta)
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusCreated, t.status())

@@ -13,18 +13,6 @@ import (
 	"strings"
 )
 
-// tenantMeta is the immutable identity of a tenant, written once at
-// creation as meta.json. Everything else about the tenant is a pure
-// function of (meta, journal prefix), which is the whole recovery
-// story: replay = snapshot + journal suffix.
-type tenantMeta struct {
-	ID       string   `json:"id"`
-	Protocol string   `json:"protocol"`
-	N        int      `json:"n"`
-	Seed     int64    `json:"seed"`
-	Edges    [][2]int `json:"edges"`
-}
-
 // Mutation is one journaled topology/state event. Exactly the fields a
 // replay needs: the operation, its operands, and the idempotency key
 // clients may attach. Rounds is filled in post-hoc for converge entries
@@ -468,27 +456,6 @@ func syncDir(dir string) error {
 
 func tenantDir(dataDir, id string) string {
 	return filepath.Join(dataDir, "tenants", id)
-}
-
-func writeMeta(dir string, meta tenantMeta) error {
-	raw, err := json.Marshal(meta)
-	if err != nil {
-		return err
-	}
-	return atomicWrite(filepath.Join(dir, "meta.json"), raw)
-}
-
-//selfstab:journal-read
-func readMeta(dir string) (tenantMeta, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, "meta.json"))
-	if err != nil {
-		return tenantMeta{}, err
-	}
-	var meta tenantMeta
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		return tenantMeta{}, fmt.Errorf("meta.json: %w", err)
-	}
-	return meta, nil
 }
 
 func snapshotPath(dir string, seq int64) string {

@@ -166,10 +166,19 @@ func Open(opts Options) (*Service, error) {
 		return nil, err
 	}
 	// Sorted recovery order: deterministic startup regardless of
-	// directory enumeration order.
+	// directory enumeration order. A crash mid-create or mid-delete
+	// leaves a directory under a staging name, never a tenant's, and
+	// nothing in it was acknowledged: remove it.
 	names := make([]string, 0, len(des))
 	for _, de := range des {
-		if de.IsDir() {
+		switch {
+		case !de.IsDir():
+		case isLeftover(de.Name()):
+			if err := os.RemoveAll(filepath.Join(opts.DataDir, "tenants", de.Name())); err != nil {
+				cancel()
+				return nil, err
+			}
+		default:
 			names = append(names, de.Name())
 		}
 	}
@@ -221,14 +230,11 @@ func (s *Service) register(t *tenant) {
 	s.tenants[t.id] = t
 }
 
-// CreateTenant provisions a new tenant directory, writes its immutable
+// CreateTenant provisions a new tenant directory holding its immutable
 // meta, runs the deterministic init epoch, and starts its loop.
 func (s *Service) CreateTenant(meta tenantMeta) (*tenant, error) {
-	if meta.ID == "" || !validTenantID(meta.ID) {
-		return nil, fmt.Errorf("invalid tenant id %q", meta.ID)
-	}
-	if meta.N <= 0 || meta.N > 1<<22 {
-		return nil, fmt.Errorf("tenant n=%d out of range [1, %d]", meta.N, 1<<22)
+	if err := validateMeta(meta); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	if s.closing {
@@ -248,21 +254,20 @@ func (s *Service) CreateTenant(meta tenantMeta) (*tenant, error) {
 	s.tenants[meta.ID] = nil
 	s.mu.Unlock()
 
-	dir := tenantDir(s.opts.DataDir, meta.ID)
 	t, err := func() (*tenant, error) {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		if err := createTenantDir(s.opts.DataDir, meta); err != nil {
 			return nil, err
 		}
-		if err := writeMeta(dir, meta); err != nil {
-			return nil, err
+		t, err := s.startTenant(tenantDir(s.opts.DataDir, meta.ID), meta)
+		if err != nil {
+			removeTenantDir(s.opts.DataDir, meta.ID)
 		}
-		return s.startTenant(dir, meta)
+		return t, err
 	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
 		delete(s.tenants, meta.ID)
-		os.RemoveAll(dir)
 		return nil, err
 	}
 	s.tenants[meta.ID] = t
@@ -316,7 +321,8 @@ func (s *Service) TenantIDs() []string {
 	return ids
 }
 
-// DeleteTenant drains the tenant's loop and removes its directory.
+// DeleteTenant drains the tenant's loop and removes its directory, out
+// of Open's sight before anything in it goes.
 func (s *Service) DeleteTenant(ctx context.Context, id string) error {
 	s.mu.Lock()
 	t, ok := s.tenants[id]
@@ -332,7 +338,7 @@ func (s *Service) DeleteTenant(ctx context.Context, id string) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	return os.RemoveAll(t.dir)
+	return removeTenantDir(s.opts.DataDir, id)
 }
 
 // Close shuts down gracefully: no new tenants, every loop drains its

@@ -10,7 +10,10 @@ import (
 // executor injectable: state writes and link flips act on the live
 // configuration immediately (the lockstep model has no discovery lag),
 // while beacon-loss bursts and neighbor-table staleness are served
-// through a stale-view overlay consulted by every Peer read.
+// through a stale-view overlay. The overlay is consulted only while it
+// holds a live pin: DropLink and Freeze switch it on, and the Tick or
+// link removal that empties it switches it off, so pin-free rounds read
+// fresh states and run the protocol's batch kernel, where it has one.
 type FaultLockstep[S comparable] struct {
 	l  *Lockstep[S]
 	ov *faults.Overlay[S]
@@ -39,12 +42,18 @@ func NewShardedFaultLockstep[S comparable](p core.Protocol[S], cfg core.Config[S
 	return withFaults(NewShardedLockstep(p, cfg, shards))
 }
 
-// withFaults installs a stale-view overlay as l's peer filter.
+// withFaults installs a stale-view overlay as l's peer filter, off
+// until the first pin.
 func withFaults[S comparable](l *Lockstep[S]) *FaultLockstep[S] {
-	ov := faults.NewOverlay[S]()
-	l.filterPeers(ov.Peer)
-	return &FaultLockstep[S]{l: l, ov: ov}
+	f := &FaultLockstep[S]{l: l, ov: faults.NewOverlay[S]()}
+	l.filterPeers(f.ov.Peer)
+	f.syncFilter()
+	return f
 }
+
+// syncFilter routes peer reads through the overlay exactly while it
+// holds a pin. Every overlay edit is followed by it.
+func (f *FaultLockstep[S]) syncFilter() { f.l.filtered = !f.ov.Empty() }
 
 // Lockstep returns the wrapped executor.
 func (f *FaultLockstep[S]) Lockstep() *Lockstep[S] { return f.l }
@@ -84,6 +93,7 @@ func (f *FaultLockstep[S]) SetLink(e graph.Edge, present bool) {
 	}
 	if f.l.cfg.G.RemoveEdge(e.U, e.V) {
 		f.ov.Unpin(e.U, e.V)
+		f.syncFilter()
 		for _, v := range [2]graph.NodeID{e.U, e.V} {
 			other := e.U ^ e.V ^ v
 			f.l.cfg.States[v] = core.RepairState(f.l.p, v, f.l.cfg.States[v], other)
@@ -98,6 +108,7 @@ func (f *FaultLockstep[S]) SetLink(e graph.Edge, present bool) {
 func (f *FaultLockstep[S]) DropLink(e graph.Edge, rounds int) {
 	st := f.l.cfg.States
 	f.ov.PinLink(e.U, e.V, st[e.U], st[e.V], rounds)
+	f.syncFilter()
 	f.l.DirtyView(e.U)
 	f.l.DirtyView(e.V)
 }
@@ -108,6 +119,7 @@ func (f *FaultLockstep[S]) DropLink(e graph.Edge, rounds int) {
 func (f *FaultLockstep[S]) Freeze(v graph.NodeID, rounds int) {
 	st := f.l.cfg.States
 	f.ov.PinView(v, f.l.cfg.G.Neighbors(v), func(j graph.NodeID) S { return st[j] }, rounds)
+	f.syncFilter()
 	f.l.DirtyView(v)
 }
 
@@ -117,8 +129,11 @@ func (f *FaultLockstep[S]) Freeze(v graph.NodeID, rounds int) {
 // is re-dirtied.
 func (f *FaultLockstep[S]) Step() int {
 	moved := f.l.Step()
-	for _, v := range f.ov.Tick() {
-		f.l.DirtyView(v)
+	if f.l.filtered { // an empty overlay has nothing to age
+		for _, v := range f.ov.Tick() {
+			f.l.DirtyView(v)
+		}
+		f.syncFilter()
 	}
 	return moved
 }

@@ -50,7 +50,7 @@ func (r Result) String() string {
 
 // filteredViewer is the reusable viewer-aware peer reader of filtered runs:
 // one value per shard, re-targeted per node by writing viewer, so the
-// peerFilter path allocates nothing per node (the method value over the
+// filtered path allocates nothing per node (the method value over the
 // pointer is bound once, when the filter is installed).
 type filteredViewer[S comparable] struct {
 	viewer graph.NodeID
@@ -72,12 +72,14 @@ type Lockstep[S comparable] struct {
 	moved  []bool // per-node active flag of the current round
 	rounds int
 	moves  int
-	// peerFilter, when non-nil, intercepts every neighbor-state read of a
-	// round with (viewer, neighbor, fresh state). It is how the fault
-	// layer (beacon-loss bursts, frozen neighbor tables) and
-	// StaleLockstep (views from past rounds) serve stale views without
-	// touching the true states; nil in normal runs.
-	peerFilter func(viewer, nbr graph.NodeID, fresh S) S
+	// filtered routes every neighbor-state read of a round through the
+	// filter filterPeers bound into each shard, as (viewer, neighbor,
+	// fresh state). It is how StaleLockstep (views from past rounds,
+	// always on) and the fault layer (beacon-loss bursts and frozen
+	// neighbor tables, on only while a pin is live) serve stale views
+	// without touching the true states. Unfiltered rounds run the batch
+	// kernel where the protocol has one.
+	filtered bool
 
 	// fullScan selects the reference engine: every round is a full round.
 	fullScan bool
@@ -179,11 +181,12 @@ func NewReferenceLockstep[S comparable](p core.Protocol[S], cfg core.Config[S]) 
 	return l
 }
 
-// filterPeers installs f as the peer-read filter of every round and
-// binds each shard's filtered reader once, so the filtered path
-// allocates nothing per round.
+// filterPeers installs f as the peer-read filter of every round until
+// filtered is cleared, and binds each shard's filtered reader once, so
+// the filtered path allocates nothing per round, however often it is
+// switched on and off.
 func (l *Lockstep[S]) filterPeers(f func(viewer, nbr graph.NodeID, fresh S) S) {
-	l.peerFilter = f
+	l.filtered = true
 	for s := range l.shards {
 		sh := &l.shards[s]
 		sh.fv = filteredViewer[S]{states: l.cfg.States, filter: f}

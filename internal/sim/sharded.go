@@ -242,13 +242,12 @@ func (l *Lockstep[S]) evalShard(s int) {
 	}
 
 	ids, states := sh.ids, l.cfg.States
-	filtered := l.peerFilter != nil
-	if l.kern != nil && !filtered {
+	if l.kern != nil && !l.filtered {
 		l.kern.MoveBatch(ids, l.cfg.G, states, l.next, l.moved)
 		return
 	}
 	pv, direct := l.peerFn, states
-	if filtered {
+	if l.filtered {
 		pv, direct = sh.filtFn, nil // mediated reads: protocols must go through Peer
 	}
 	for _, id := range ids {
