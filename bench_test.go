@@ -452,6 +452,7 @@ func largeDisk(n int) *graph.Graph {
 }
 
 func benchLargeSMM(b *testing.B, g *graph.Graph) {
+	var w work
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -462,10 +463,13 @@ func benchLargeSMM(b *testing.B, g *graph.Graph) {
 		if res := l.Run(g.N() + 2); !res.Stable {
 			b.Fatal(res)
 		}
+		w = w.plus(engineWork(l), 1)
 	}
+	w.report(b)
 }
 
 func benchLargeSMI(b *testing.B, g *graph.Graph) {
+	var w work
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -477,6 +481,32 @@ func benchLargeSMI(b *testing.B, g *graph.Graph) {
 		if res := l.Run(g.N() + 2); !res.Stable {
 			b.Fatal(res)
 		}
+		w = w.plus(engineWork(l), 1)
+	}
+	w.report(b)
+}
+
+// work is an engine's deterministic work: rounds with moves, moves,
+// node evaluations and full rounds. These counts do not vary between
+// runs, so they show a change in what the round loop does where ns/op
+// is too noisy to.
+type work [4]int
+
+func engineWork[S comparable](l *sim.Lockstep[S]) work {
+	return work{l.Rounds(), l.Moves(), l.Evals(), l.FullRounds()}
+}
+
+func (w work) plus(o work, sign int) work {
+	for i := range w {
+		w[i] += sign * o[i]
+	}
+	return w
+}
+
+// report reports w, the work of b.N iterations, per iteration.
+func (w work) report(b *testing.B) {
+	for i, unit := range [...]string{"rounds/op", "moves/op", "evals/op", "full_rounds/op"} {
+		b.ReportMetric(float64(w[i])/float64(b.N), unit)
 	}
 }
 
@@ -641,6 +671,7 @@ func benchShardSMM(b *testing.B, g *graph.Graph, shards int) {
 	if res := l.Run(g.N() + 2); !res.Stable {
 		b.Fatal(res)
 	}
+	before := engineWork(l)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -651,6 +682,7 @@ func benchShardSMM(b *testing.B, g *graph.Graph, shards int) {
 			b.Fatal(res)
 		}
 	}
+	engineWork(l).plus(before, -1).report(b)
 }
 
 func benchShardSMI(b *testing.B, g *graph.Graph, shards int) {
@@ -662,6 +694,7 @@ func benchShardSMI(b *testing.B, g *graph.Graph, shards int) {
 	if res := l.Run(g.N() + 2); !res.Stable {
 		b.Fatal(res)
 	}
+	before := engineWork(l)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -672,6 +705,7 @@ func benchShardSMI(b *testing.B, g *graph.Graph, shards int) {
 			b.Fatal(res)
 		}
 	}
+	engineWork(l).plus(before, -1).report(b)
 }
 
 func BenchmarkShard1M_SMMSparse1(b *testing.B) { benchShardSMM(b, megaSparse(), 1) }

@@ -178,7 +178,7 @@ func benchCreate(b *testing.B, protocol string) {
 			b.Fatalf("create: status %d: %s", w.Code, w.Body)
 		}
 		b.StopTimer()
-		if err := svc.DeleteTenant(context.Background(), "big"); err != nil {
+		if err := svc.DeleteTenant("big"); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

@@ -95,7 +95,7 @@ func (s *Service) handleListTenants(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
-	meta, err := decodeCreate(r.Body)
+	meta, err := decodeCreateSized(r.Body, r.ContentLength)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
 		return
@@ -117,7 +117,7 @@ func (s *Service) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleDeleteTenant(w http.ResponseWriter, r *http.Request) {
-	err := s.DeleteTenant(r.Context(), r.PathValue("id"))
+	err := s.DeleteTenant(r.PathValue("id"))
 	switch {
 	case err == nil:
 		w.WriteHeader(http.StatusNoContent)

@@ -87,11 +87,22 @@ func appendMeta(b []byte, m tenantMeta) []byte {
 	return append(b, '}')
 }
 
+// maxBodyHint caps the declared body length readSized trusts: 16 MiB,
+// room for about a million edges. A longer declared length, or none,
+// reads as io.ReadAll does.
+const maxBodyHint = 16 << 20
+
 // decodeCreate decodes a POST /v1/tenants body as
 // json.NewDecoder(body).Decode does: the first JSON value, with
 // whatever follows it ignored.
 func decodeCreate(body io.Reader) (tenantMeta, error) {
-	raw, err := io.ReadAll(body)
+	return decodeCreateSized(body, -1)
+}
+
+// decodeCreateSized is decodeCreate for a body of declared length size
+// (Content-Length, -1 when unknown), which only sizes the read buffer.
+func decodeCreateSized(body io.Reader, size int64) (tenantMeta, error) {
+	raw, err := readSized(body, size)
 	if err == nil {
 		if m, _, ok := parseMeta(raw); ok {
 			return m, nil
@@ -104,6 +115,32 @@ func decodeCreate(body io.Reader) (tenantMeta, error) {
 	var req createRequest
 	err = json.NewDecoder(io.MultiReader(bytes.NewReader(raw), body)).Decode(&req)
 	return tenantMeta(req), err
+}
+
+// readSized reads body to EOF as io.ReadAll does, but starts from one
+// buffer of the declared size plus one byte when 0 <= size <=
+// maxBodyHint, so a body as long as declared is read without growing
+// the buffer: the spare byte lets the read that meets EOF find room. A
+// longer body grows the buffer from there.
+func readSized(body io.Reader, size int64) ([]byte, error) {
+	n := int64(512) // io.ReadAll's first buffer
+	if size >= 0 && size <= maxBodyHint {
+		n = size + 1
+	}
+	b := make([]byte, 0, n)
+	for {
+		k, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+k]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // unmarshalMeta decodes meta.json as json.Unmarshal does: one JSON

@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -161,6 +163,78 @@ func TestStagedCreateAndDelete(t *testing.T) {
 	}
 	if after := snapshotJSON(t, svc2.Handler(), "a"); !bytes.Equal(after, before) {
 		t.Fatalf("tenant a changed across the reopen:\nbefore: %s\nafter:  %s", before, after)
+	}
+}
+
+// TestDeleteFinishesAfterItsContextEnds deletes tenants through
+// requests whose context has already ended. Once a tenant is
+// unregistered its delete must finish: the directory is gone when the
+// 204 goes out, the id can be created again, and a reopen does not
+// bring the deleted tenant back.
+func TestDeleteFinishesAfterItsContextEnds(t *testing.T) {
+	dir := t.TempDir()
+	svc := newTestService(t, Options{DataDir: dir})
+	h := svc.Handler()
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	del := func(id string) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("DELETE", "/v1/tenants/"+id, nil).WithContext(ended))
+		if w.Code != http.StatusNoContent {
+			t.Fatalf("delete %s: status %d: %s", id, w.Code, w.Body)
+		}
+		if got := tenantNames(t, dir); !slices.Equal(got, []string{"keep"}) {
+			t.Fatalf("after deleting %s, tenants/ holds %q; want only keep", id, got)
+		}
+	}
+	pathTenant(t, h, "keep", ProtocolSMI, 6)
+	pathTenant(t, h, "x", ProtocolSMM, 2000)
+	del("x")
+	pathTenant(t, h, "x", ProtocolSMI, 6)
+	del("x")
+	svc.Kill()
+	if got := newTestService(t, Options{DataDir: dir}).TenantIDs(); !slices.Equal(got, []string{"keep"}) {
+		t.Fatalf("recovered tenants %q; want only keep", got)
+	}
+}
+
+// TestDecodeCreateSizeHints decodes create bodies under each kind of
+// declared length: absent, exact, overstated and over maxBodyHint.
+// Values and error texts stay encoding/json's whatever the hint, and a
+// body exactly as long as declared is read into one buffer of that
+// length plus one byte.
+func TestDecodeCreateSizeHints(t *testing.T) {
+	edges := make([][2]int, 3000)
+	for i := range edges {
+		edges[i] = [2]int{i % 1000, 1000 + i%997}
+	}
+	canonical := appendMeta(nil, tenantMeta{ID: "a", Protocol: ProtocolSMM, N: 2000, Seed: 7, Edges: edges})
+	for _, raw := range [][]byte{
+		canonical,
+		canonical[:len(canonical)/2], // cut short
+		[]byte(` {"id":"a","protocol":"smm","n":4,"seed":7,"edges":null} x`), // not canonical
+		[]byte(`{"id":"a","protocol":"smm","n":"4"}`),                        // a type error
+		nil,
+	} {
+		var req createRequest
+		wantErr := json.NewDecoder(bytes.NewReader(raw)).Decode(&req)
+		for _, hint := range []struct {
+			name string
+			size int64
+		}{
+			{"absent", -1},
+			{"exact", int64(len(raw))},
+			{"overstated", int64(len(raw)) + 4096},
+			{"over the cap", maxBodyHint + 1},
+		} {
+			got, err := decodeCreateSized(bytes.NewReader(raw), hint.size)
+			sameDecode(t, "decodeCreateSized, "+hint.name+" length", got, err, tenantMeta(req), wantErr)
+		}
+		b, err := readSized(bytes.NewReader(raw), int64(len(raw)))
+		if err != nil || !bytes.Equal(b, raw) || cap(b) != len(raw)+1 {
+			t.Fatalf("readSized of %d bytes: %d bytes, cap %d, err %v", len(raw), len(b), cap(b), err)
+		}
 	}
 }
 

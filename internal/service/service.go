@@ -322,8 +322,11 @@ func (s *Service) TenantIDs() []string {
 }
 
 // DeleteTenant drains the tenant's loop and removes its directory, out
-// of Open's sight before anything in it goes.
-func (s *Service) DeleteTenant(ctx context.Context, id string) error {
+// of Open's sight before anything in it goes. Once the tenant is
+// unregistered the delete always finishes: the loop exits after close
+// (Kill ends it too), and a directory left behind would answer a
+// re-create of the id with 400 and come back at the next Open.
+func (s *Service) DeleteTenant(id string) error {
 	s.mu.Lock()
 	t, ok := s.tenants[id]
 	if !ok || t == nil {
@@ -333,11 +336,7 @@ func (s *Service) DeleteTenant(ctx context.Context, id string) error {
 	delete(s.tenants, id)
 	s.mu.Unlock()
 	t.close()
-	select {
-	case <-t.dead:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	<-t.dead
 	return removeTenantDir(s.opts.DataDir, id)
 }
 

@@ -72,6 +72,11 @@ type Lockstep[S comparable] struct {
 	moved  []bool // per-node active flag of the current round
 	rounds int
 	moves  int
+	// evals counts node evaluations (the drained sizes, n for a full
+	// round) and fullRounds the full rounds, quiet rounds included: the
+	// work behind rounds and moves, which the benchmarks report.
+	evals      int
+	fullRounds int
 	// filtered routes every neighbor-state read of a round through the
 	// filter filterPeers bound into each shard, as (viewer, neighbor,
 	// fresh state). It is how StaleLockstep (views from past rounds,
@@ -107,7 +112,11 @@ type Lockstep[S comparable] struct {
 	// and the generic commit and mark.
 	kern core.Kernel[S]
 
-	fullRound  bool // next round evaluates everyone (Run entry, unreported topology edit)
+	// fullRound makes the next round evaluate everyone: set at Run entry,
+	// on an unreported topology edit, and after a dense round (see
+	// dense), which derives no marks. It outlives the call that set it,
+	// so a dense last round makes the next call's first round a full one.
+	fullRound  bool
 	roundFull  bool // the round in flight is a full round
 	parallel   bool // the round in flight uses the worker pool
 	lastActive int  // drained size of the previous round, the pool heuristic
@@ -203,6 +212,13 @@ func (l *Lockstep[S]) Rounds() int { return l.rounds }
 // Moves returns the total moves executed so far.
 func (l *Lockstep[S]) Moves() int { return l.moves }
 
+// Evals returns the node evaluations executed so far, quiet rounds
+// included: each round adds its drained frontier, or n for a full round.
+func (l *Lockstep[S]) Evals() int { return l.evals }
+
+// FullRounds returns the rounds so far that evaluated every node.
+func (l *Lockstep[S]) FullRounds() int { return l.fullRounds }
+
 // DirtyState marks node v's closed neighborhood for re-evaluation after
 // an external write to States[v] (a memory-corruption fault, a crash
 // resurrection): v's own view changed, and v's state is part of every
@@ -285,8 +301,9 @@ func (l *Lockstep[S]) RunCtx(ctx context.Context, maxRounds int) (Result, error)
 // through DirtyState/DirtyEdge/DirtyView (the fault adapters and the
 // service layer do this). It also skips the final quiescence probe —
 // hitting the round limit reports Stable false, and a subsequent call
-// resumes where this one stopped, drains an empty frontier, and reports
-// Stable true at the cost of one cheap zero-move round. This makes it
+// resumes where this one stopped and reports Stable true at the cost of
+// one zero-move round: a drain of an empty frontier, or a full round if
+// the last round of this call was dense. This makes it
 // the natural seam for chunked convergence: run a slice of rounds,
 // release locks to serve reads, resume. Chunking cannot change the
 // trajectory — each round is a deterministic function of the states, so

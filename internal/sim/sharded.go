@@ -31,6 +31,25 @@ func SetShards(k int) { defaultShards.Store(int32(k)) }
 // drive the pooled path under the race detector.
 var shardParallelMin = 4096
 
+// denseRoundDiv sets when a round is dense: a round in which at least
+// n/denseRoundDiv nodes moved derives no marks, and the next round
+// evaluates every node instead (DESIGN.md §7b, "Dense rounds"). Marking
+// costs a random read and write per neighbor of each mover; a full
+// round is one sequential pass, which wins once movers are this common.
+// It is a variable so the equivalence tests can run the engine with
+// dense rounds never (0) and after every moving round (any value
+// above n).
+var denseRoundDiv = 4
+
+// dense reports whether a round that moved `moved` of n nodes is dense.
+// It reads nothing else, so every shard count and every run decides
+// the same.
+//
+//selfstab:noalloc
+func dense(moved, n int) bool {
+	return moved > 0 && denseRoundDiv > 0 && moved >= n/denseRoundDiv
+}
+
 // shardReq is one unit of pool work: run one phase for one shard.
 type shardReq struct {
 	phase int
@@ -49,7 +68,7 @@ const (
 
 // shard is one contiguous node range of the round and everything its
 // phases write. Step splits every round into the four phases above
-// across the shards:
+// across the shards; a dense round runs eval and commit only:
 //
 //   - Eval reads only the frozen pre-round state vector and writes
 //     next/moved at owned indices — disjoint across shards.
@@ -111,7 +130,9 @@ func (l *Lockstep[S]) addAll() {
 // installed at once, as four barrier-separated shard phases. Non-frontier
 // nodes are provably no-ops (their view is unchanged since they last
 // evaluated inactive), so the returned move count equals the full
-// scan's; the reference engine makes every round a full round. Steady-
+// scan's; the reference engine makes every round a full round. A dense
+// round (see dense) skips the mark and absorb phases and makes the next
+// round a full one, which evaluates a superset of any frontier. Steady-
 // state rounds allocate nothing (pinned by noalloc and the bench gate);
 // the suppressed cold paths run only on the first pooled round, or for
 // protocols without batch kernels.
@@ -139,6 +160,10 @@ func (l *Lockstep[S]) Step() int {
 		active += len(l.shards[s].ids)
 	}
 	l.lastActive = active
+	l.evals += active
+	if l.roundFull {
+		l.fullRounds++
+	}
 
 	l.runAll(phaseCommit)
 	moved, anyChg := 0, false
@@ -147,8 +172,13 @@ func (l *Lockstep[S]) Step() int {
 		anyChg = anyChg || l.shards[s].chgAny
 	}
 	// Quiet rounds skip the install half entirely: nothing moved and
-	// nothing changed, so there are no marks to derive or exchange.
-	if moved > 0 || anyChg {
+	// nothing changed, so there are no marks to derive or exchange. A
+	// round followed by a full one has no use for its marks either.
+	switch {
+	case moved == 0 && !anyChg:
+	case l.fullScan || dense(moved, len(l.cfg.States)):
+		l.fullRound = true
+	default:
 		l.runAll(phaseMark)
 		l.runAll(phaseAbsorb)
 	}

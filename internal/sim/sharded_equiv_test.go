@@ -20,36 +20,43 @@ import (
 // reports — to the full-scan reference engine on arbitrary graphs,
 // arbitrary initial configurations, and arbitrary fault schedules. Any
 // divergence means a shard-phase invariant is broken (ownership, absorb
-// coverage, or barrier placement; see DESIGN.md §7c).
+// coverage, or barrier placement; see DESIGN.md §7c). The equivalence
+// tests, the pooled runs and the steady-state allocation test run with
+// dense rounds never, at the default threshold and after every moving
+// round (eachDense).
 
 var shardCounts = [4]int{1, 2, 4, 8}
 
 func TestShardedMatchesReferenceSMM(t *testing.T) {
-	rng := rand.New(rand.NewSource(200))
-	for trial := 0; trial < 15; trial++ {
-		g := graph.RandomConnected(2+rng.Intn(40), 0.05+rng.Float64()*0.4, rng)
-		seed := int64(trial)
-		for _, k := range shardCounts {
-			sh := NewShardedLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), g, seed), k)
-			ref := NewReferenceLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), g, seed))
-			stepCompare(t, "sharded SMM", sh, ref, g.N()+4)
-			sh.Close()
+	eachDense(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(200))
+		for trial := 0; trial < 15; trial++ {
+			g := graph.RandomConnected(2+rng.Intn(40), 0.05+rng.Float64()*0.4, rng)
+			seed := int64(trial)
+			for _, k := range shardCounts {
+				sh := NewShardedLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), g, seed), k)
+				ref := NewReferenceLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), g, seed))
+				stepCompare(t, "sharded SMM", sh, ref, g.N()+4)
+				sh.Close()
+			}
 		}
-	}
+	})
 }
 
 func TestShardedMatchesReferenceSMI(t *testing.T) {
-	rng := rand.New(rand.NewSource(201))
-	for trial := 0; trial < 15; trial++ {
-		g := graph.RandomConnected(2+rng.Intn(40), 0.05+rng.Float64()*0.4, rng)
-		seed := int64(trial)
-		for _, k := range shardCounts {
-			sh := NewShardedLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed), k)
-			ref := NewReferenceLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed))
-			stepCompare(t, "sharded SMI", sh, ref, g.N()+4)
-			sh.Close()
+	eachDense(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(201))
+		for trial := 0; trial < 15; trial++ {
+			g := graph.RandomConnected(2+rng.Intn(40), 0.05+rng.Float64()*0.4, rng)
+			seed := int64(trial)
+			for _, k := range shardCounts {
+				sh := NewShardedLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed), k)
+				ref := NewReferenceLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed))
+				stepCompare(t, "sharded SMI", sh, ref, g.N()+4)
+				sh.Close()
+			}
 		}
-	}
+	})
 }
 
 // The opaque wrapper hides the Kernel (and every other fast-path
@@ -57,55 +64,61 @@ func TestShardedMatchesReferenceSMI(t *testing.T) {
 // split with closed-neighborhood marking — which must agree with the
 // reference's full scan.
 func TestShardedGenericPathMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(202))
-	for trial := 0; trial < 12; trial++ {
-		g := graph.RandomConnected(2+rng.Intn(40), 0.05+rng.Float64()*0.4, rng)
-		seed := int64(trial)
-		for _, k := range shardCounts {
-			sh := NewShardedLockstep[core.Pointer](opaque[core.Pointer]{core.NewSMM()}, equivCfg[core.Pointer](core.NewSMM(), g, seed), k)
-			ref := NewReferenceLockstep[core.Pointer](opaque[core.Pointer]{core.NewSMM()}, equivCfg[core.Pointer](core.NewSMM(), g, seed))
-			stepCompare(t, "sharded generic SMM", sh, ref, g.N()+4)
-			sh.Close()
+	eachDense(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(202))
+		for trial := 0; trial < 12; trial++ {
+			g := graph.RandomConnected(2+rng.Intn(40), 0.05+rng.Float64()*0.4, rng)
+			seed := int64(trial)
+			for _, k := range shardCounts {
+				sh := NewShardedLockstep[core.Pointer](opaque[core.Pointer]{core.NewSMM()}, equivCfg[core.Pointer](core.NewSMM(), g, seed), k)
+				ref := NewReferenceLockstep[core.Pointer](opaque[core.Pointer]{core.NewSMM()}, equivCfg[core.Pointer](core.NewSMM(), g, seed))
+				stepCompare(t, "sharded generic SMM", sh, ref, g.N()+4)
+				sh.Close()
+			}
 		}
-	}
+	})
 }
 
 // Guard-gated randomness must survive sharding: a node skipped by any
 // shard's frontier consumes no coin flips, so the per-node streams stay
 // aligned with the reference for every shard count.
 func TestShardedMatchesReferenceRandMIS(t *testing.T) {
-	rng := rand.New(rand.NewSource(203))
-	for trial := 0; trial < 8; trial++ {
-		g := graph.RandomConnected(2+rng.Intn(30), 0.1+rng.Float64()*0.3, rng)
-		seed := int64(trial)
-		for _, k := range shardCounts {
-			ps := protocols.NewRandMIS(g.N(), seed)
-			pr := protocols.NewRandMIS(g.N(), seed)
-			sh := NewShardedLockstep[bool](ps, equivCfg[bool](ps, g, seed), k)
-			ref := NewReferenceLockstep[bool](pr, equivCfg[bool](pr, g, seed))
-			stepCompare(t, "sharded RandMIS", sh, ref, 6*g.N()+10)
-			sh.Close()
+	eachDense(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(203))
+		for trial := 0; trial < 8; trial++ {
+			g := graph.RandomConnected(2+rng.Intn(30), 0.1+rng.Float64()*0.3, rng)
+			seed := int64(trial)
+			for _, k := range shardCounts {
+				ps := protocols.NewRandMIS(g.N(), seed)
+				pr := protocols.NewRandMIS(g.N(), seed)
+				sh := NewShardedLockstep[bool](ps, equivCfg[bool](ps, g, seed), k)
+				ref := NewReferenceLockstep[bool](pr, equivCfg[bool](pr, g, seed))
+				stepCompare(t, "sharded RandMIS", sh, ref, 6*g.N()+10)
+				sh.Close()
+			}
 		}
-	}
+	})
 }
 
 // Refined(SMM) changes aux state with moved == false, so the sharded
 // generic path's change flags (not the moved flags) must drive its
 // marking at every shard count.
 func TestShardedMatchesReferenceRefined(t *testing.T) {
-	rng := rand.New(rand.NewSource(204))
-	for trial := 0; trial < 8; trial++ {
-		g := graph.RandomConnected(2+rng.Intn(25), 0.1+rng.Float64()*0.3, rng)
-		seed := int64(trial)
-		for _, k := range shardCounts {
-			ps := protocols.Refine[core.Pointer](core.NewSMM(), g.N(), seed)
-			pr := protocols.Refine[core.Pointer](core.NewSMM(), g.N(), seed)
-			sh := NewShardedLockstep(ps, equivCfg[protocols.RefState[core.Pointer]](ps, g, seed), k)
-			ref := NewReferenceLockstep(pr, equivCfg[protocols.RefState[core.Pointer]](pr, g, seed))
-			stepCompare(t, "sharded Refined(SMM)", sh, ref, 8*g.N()+10)
-			sh.Close()
+	eachDense(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(204))
+		for trial := 0; trial < 8; trial++ {
+			g := graph.RandomConnected(2+rng.Intn(25), 0.1+rng.Float64()*0.3, rng)
+			seed := int64(trial)
+			for _, k := range shardCounts {
+				ps := protocols.Refine[core.Pointer](core.NewSMM(), g.N(), seed)
+				pr := protocols.Refine[core.Pointer](core.NewSMM(), g.N(), seed)
+				sh := NewShardedLockstep(ps, equivCfg[protocols.RefState[core.Pointer]](ps, g, seed), k)
+				ref := NewReferenceLockstep(pr, equivCfg[protocols.RefState[core.Pointer]](pr, g, seed))
+				stepCompare(t, "sharded Refined(SMM)", sh, ref, 8*g.N()+10)
+				sh.Close()
+			}
 		}
-	}
+	})
 }
 
 // The pooled dispatch path — real worker goroutines, channel barriers —
@@ -114,62 +127,66 @@ func TestShardedMatchesReferenceRefined(t *testing.T) {
 // data-race proof for the four-phase footprint argument. A single shard
 // must still never spawn a pool, however large its rounds.
 func TestShardedPooledPathMatchesReference(t *testing.T) {
-	old := shardParallelMin
-	shardParallelMin = 1
-	defer func() { shardParallelMin = old }()
+	eachDense(t, func(t *testing.T) {
+		old := shardParallelMin
+		shardParallelMin = 1
+		defer func() { shardParallelMin = old }()
 
-	rng := rand.New(rand.NewSource(205))
-	for trial := 0; trial < 10; trial++ {
-		g := graph.RandomConnected(4+rng.Intn(40), 0.1+rng.Float64()*0.3, rng)
-		seed := int64(trial)
-		for _, k := range shardCounts {
-			sh := NewShardedLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), g, seed), k)
-			ref := NewReferenceLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), g, seed))
-			stepCompare(t, "pooled sharded SMM", sh, ref, g.N()+4)
-			if k == 1 && sh.workCh != nil {
-				t.Fatal("single-shard engine spawned a worker pool")
+		rng := rand.New(rand.NewSource(205))
+		for trial := 0; trial < 10; trial++ {
+			g := graph.RandomConnected(4+rng.Intn(40), 0.1+rng.Float64()*0.3, rng)
+			seed := int64(trial)
+			for _, k := range shardCounts {
+				sh := NewShardedLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), g, seed), k)
+				ref := NewReferenceLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), g, seed))
+				stepCompare(t, "pooled sharded SMM", sh, ref, g.N()+4)
+				if k == 1 && sh.workCh != nil {
+					t.Fatal("single-shard engine spawned a worker pool")
+				}
+				sh.Close()
+
+				shi := NewShardedLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed), k)
+				refi := NewReferenceLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed))
+				stepCompare(t, "pooled sharded SMI", shi, refi, g.N()+4)
+				shi.Close()
+
+				// RandMIS takes the generic Move path, so concurrent shards
+				// draw from its per-node generators at once.
+				ps := protocols.NewRandMIS(g.N(), seed)
+				pr := protocols.NewRandMIS(g.N(), seed)
+				shr := NewShardedLockstep[bool](ps, equivCfg[bool](ps, g, seed), k)
+				refr := NewReferenceLockstep[bool](pr, equivCfg[bool](pr, g, seed))
+				stepCompare(t, "pooled sharded RandMIS", shr, refr, 6*g.N()+10)
+				shr.Close()
 			}
-			sh.Close()
-
-			shi := NewShardedLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed), k)
-			refi := NewReferenceLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed))
-			stepCompare(t, "pooled sharded SMI", shi, refi, g.N()+4)
-			shi.Close()
-
-			// RandMIS takes the generic Move path, so concurrent shards
-			// draw from its per-node generators at once.
-			ps := protocols.NewRandMIS(g.N(), seed)
-			pr := protocols.NewRandMIS(g.N(), seed)
-			shr := NewShardedLockstep[bool](ps, equivCfg[bool](ps, g, seed), k)
-			refr := NewReferenceLockstep[bool](pr, equivCfg[bool](pr, g, seed))
-			stepCompare(t, "pooled sharded RandMIS", shr, refr, 6*g.N()+10)
-			shr.Close()
 		}
-	}
+	})
 }
 
 // RandMIS uses per-node generators; running it on 8 pooled shard workers
 // under -race validates the concurrency contract end to end, and the
 // fixed point it reaches must still verify as a maximal independent set.
 func TestParallelRandomizedProtocolRaceFree(t *testing.T) {
-	old := shardParallelMin
-	shardParallelMin = 1
-	defer func() { shardParallelMin = old }()
+	eachDense(t, func(t *testing.T) {
+		old := shardParallelMin
+		shardParallelMin = 1
+		defer func() { shardParallelMin = old }()
 
-	rng := rand.New(rand.NewSource(11))
-	g := graph.RandomConnected(30, 0.12, rng)
-	p := protocols.NewRandMIS(g.N(), 77)
-	cfg := core.NewConfig[bool](g)
-	cfg.Randomize(p, rng)
-	l := NewShardedLockstep[bool](p, cfg, 8)
-	defer l.Close()
-	res := l.Run(2000)
-	if !res.Stable {
-		t.Fatalf("%v", res)
-	}
-	if err := verify.IsMaximalIndependentSet(g, core.SetOf(cfg)); err != nil {
-		t.Fatal(err)
-	}
+		rng := rand.New(rand.NewSource(11))
+		g := graph.RandomConnected(30, 0.12, rng)
+		p := protocols.NewRandMIS(g.N(), 77)
+		cfg := core.NewConfig[bool](g)
+		cfg.Randomize(p, rng)
+		l := NewShardedLockstep[bool](p, cfg, 8)
+		defer l.Close()
+		res := l.Run(2000)
+		if !res.Stable {
+			t.Fatalf("%v", res)
+		}
+		if err := verify.IsMaximalIndependentSet(g, core.SetOf(cfg)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // Close reaps the worker pool of an engine abandoned mid-run: pooled
@@ -222,29 +239,31 @@ func TestCloseIdempotent(t *testing.T) {
 // the edge made straight on the graph crosses shards that heard of no
 // edit, and the pool must still evaluate both of its endpoints.
 func TestUnhookedEditBeforeHookedFlipIsEvaluatedSharded(t *testing.T) {
-	old := shardParallelMin
-	shardParallelMin = 1
-	defer func() { shardParallelMin = old }()
+	eachDense(t, func(t *testing.T) {
+		old := shardParallelMin
+		shardParallelMin = 1
+		defer func() { shardParallelMin = old }()
 
-	g := graph.New(4)
-	f := NewShardedFaultLockstep[bool](core.NewSMI(), core.NewConfig[bool](g), 4)
-	defer f.Close()
-	if res := f.Lockstep().Run(10); !res.Stable {
-		t.Fatalf("did not stabilize: %v", res)
-	}
-	g.AddEdge(0, 1)
-	f.SetLink(graph.NewEdge(2, 3), true)
-	for r := 0; f.Step() > 0; r++ {
-		if r == 10 {
-			t.Fatal("did not quiesce")
+		g := graph.New(4)
+		f := NewShardedFaultLockstep[bool](core.NewSMI(), core.NewConfig[bool](g), 4)
+		defer f.Close()
+		if res := f.Lockstep().Run(10); !res.Stable {
+			t.Fatalf("did not stabilize: %v", res)
 		}
-	}
-	if f.Lockstep().workCh == nil {
-		t.Fatal("pooled engine spawned no workers")
-	}
-	if err := verify.IsMaximalIndependentSet(g, core.SetOf(f.Config())); err != nil {
-		t.Fatalf("quiet but not legitimate: %v", err)
-	}
+		g.AddEdge(0, 1)
+		f.SetLink(graph.NewEdge(2, 3), true)
+		for r := 0; f.Step() > 0; r++ {
+			if r == 10 {
+				t.Fatal("did not quiesce")
+			}
+		}
+		if f.Lockstep().workCh == nil {
+			t.Fatal("pooled engine spawned no workers")
+		}
+		if err := verify.IsMaximalIndependentSet(g, core.SetOf(f.Config())); err != nil {
+			t.Fatalf("quiet but not legitimate: %v", err)
+		}
+	})
 }
 
 // awaitGoroutines waits up to 5 s for the goroutine count to fall back
@@ -264,26 +283,28 @@ func awaitGoroutines(t *testing.T, baseline int) {
 
 // Run must return identical Results and fixpoints for every shard count.
 func TestShardedRunResultMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(206))
-	for trial := 0; trial < 10; trial++ {
-		g := graph.RandomConnected(4+rng.Intn(40), 0.1+rng.Float64()*0.3, rng)
-		seed := int64(trial)
-		ref := NewReferenceLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed))
-		want := ref.Run(g.N() + 2)
-		for _, k := range shardCounts {
-			sh := NewShardedLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed), k)
-			got := sh.Run(g.N() + 2)
-			if got != want {
-				t.Fatalf("shards=%d: Result %+v, reference %+v", k, got, want)
-			}
-			for v := range sh.cfg.States {
-				if sh.cfg.States[v] != ref.cfg.States[v] {
-					t.Fatalf("shards=%d: node %d diverged at fixpoint", k, v)
+	eachDense(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(206))
+		for trial := 0; trial < 10; trial++ {
+			g := graph.RandomConnected(4+rng.Intn(40), 0.1+rng.Float64()*0.3, rng)
+			seed := int64(trial)
+			ref := NewReferenceLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed))
+			want := ref.Run(g.N() + 2)
+			for _, k := range shardCounts {
+				sh := NewShardedLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed), k)
+				got := sh.Run(g.N() + 2)
+				if got != want {
+					t.Fatalf("shards=%d: Result %+v, reference %+v", k, got, want)
 				}
+				for v := range sh.cfg.States {
+					if sh.cfg.States[v] != ref.cfg.States[v] {
+						t.Fatalf("shards=%d: node %d diverged at fixpoint", k, v)
+					}
+				}
+				sh.Close()
 			}
-			sh.Close()
 		}
-	}
+	})
 }
 
 // Replaying a generated fault schedule on the sharded fault adapter and
@@ -291,94 +312,98 @@ func TestShardedRunResultMatches(t *testing.T) {
 // identical final states at every shard count. This exercises the dirty
 // routing to owning shards across link flips.
 func TestShardedFaultScheduleMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(207))
-	for trial := 0; trial < 10; trial++ {
-		n := 6 + rng.Intn(14)
-		g := graph.RandomConnected(n, 0.3, rng)
-		seed := int64(trial) * 9973
-		sched := faults.Generate(seed, g, faults.GenParams{Events: 6, Start: n + 2})
+	eachDense(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(207))
+		for trial := 0; trial < 10; trial++ {
+			n := 6 + rng.Intn(14)
+			g := graph.RandomConnected(n, 0.3, rng)
+			seed := int64(trial) * 9973
+			sched := faults.Generate(seed, g, faults.GenParams{Events: 6, Start: n + 2})
 
-		run := func(mk func(core.Protocol[core.Pointer], core.Config[core.Pointer]) *FaultLockstep[core.Pointer]) (faults.Report, []core.Pointer) {
-			p := core.NewSMM()
-			cfg := equivCfg[core.Pointer](p, g.Clone(), seed)
-			tgt := mk(p, cfg)
-			rep := faults.RunSchedule[core.Pointer](p, tgt, sched, faults.SMMChecker, faults.Options{BoundFactor: 1, BoundSlack: 1})
-			tgt.Close()
-			return rep, append([]core.Pointer(nil), cfg.States...)
-		}
-		repR, stR := run(NewReferenceFaultLockstep[core.Pointer])
-		for _, k := range shardCounts {
-			k := k
-			repS, stS := run(func(p core.Protocol[core.Pointer], cfg core.Config[core.Pointer]) *FaultLockstep[core.Pointer] {
-				return NewShardedFaultLockstep(p, cfg, k)
-			})
-			if !reflect.DeepEqual(repS, repR) {
-				t.Fatalf("trial %d shards=%d: reports diverged:\nsharded:   %+v\nreference: %+v", trial, k, repS, repR)
+			run := func(mk func(core.Protocol[core.Pointer], core.Config[core.Pointer]) *FaultLockstep[core.Pointer]) (faults.Report, []core.Pointer) {
+				p := core.NewSMM()
+				cfg := equivCfg[core.Pointer](p, g.Clone(), seed)
+				tgt := mk(p, cfg)
+				rep := faults.RunSchedule[core.Pointer](p, tgt, sched, faults.SMMChecker, faults.Options{BoundFactor: 1, BoundSlack: 1})
+				tgt.Close()
+				return rep, append([]core.Pointer(nil), cfg.States...)
 			}
-			if !reflect.DeepEqual(stS, stR) {
-				t.Fatalf("trial %d shards=%d: final states diverged:\nsharded:   %v\nreference: %v", trial, k, stS, stR)
+			repR, stR := run(NewReferenceFaultLockstep[core.Pointer])
+			for _, k := range shardCounts {
+				k := k
+				repS, stS := run(func(p core.Protocol[core.Pointer], cfg core.Config[core.Pointer]) *FaultLockstep[core.Pointer] {
+					return NewShardedFaultLockstep(p, cfg, k)
+				})
+				if !reflect.DeepEqual(repS, repR) {
+					t.Fatalf("trial %d shards=%d: reports diverged:\nsharded:   %+v\nreference: %+v", trial, k, repS, repR)
+				}
+				if !reflect.DeepEqual(stS, stR) {
+					t.Fatalf("trial %d shards=%d: final states diverged:\nsharded:   %v\nreference: %v", trial, k, stS, stR)
+				}
 			}
 		}
-	}
+	})
 }
 
 // Direct topology and state edits between Run calls must be absorbed by
 // the version self-detection and the Run-entry re-dirty at every shard
 // count.
 func TestShardedSurvivesExternalMutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(208))
-	for trial := 0; trial < 8; trial++ {
-		n := 12 + rng.Intn(12)
-		p := 0.3
-		gseed := rng.Int63()
-		mk := func() *graph.Graph {
-			return graph.RandomConnected(n, p, rand.New(rand.NewSource(gseed)))
-		}
-		seed := int64(trial)
-		churnOn := func(g *graph.Graph, l *Lockstep[core.Pointer]) {
-			churn := rand.New(rand.NewSource(seed + 900))
-			for j := 0; j < 3; j++ {
-				u := graph.NodeID(churn.Intn(g.N()))
-				v := graph.NodeID(churn.Intn(g.N()))
-				if u == v {
-					continue
-				}
-				if g.HasEdge(u, v) {
-					g.RemoveEdge(u, v)
-				} else {
-					g.AddEdge(u, v)
-				}
+	eachDense(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(208))
+		for trial := 0; trial < 8; trial++ {
+			n := 12 + rng.Intn(12)
+			p := 0.3
+			gseed := rng.Int63()
+			mk := func() *graph.Graph {
+				return graph.RandomConnected(n, p, rand.New(rand.NewSource(gseed)))
 			}
-			core.NormalizeSMM(l.Config())
-			corrupt := graph.NodeID(churn.Intn(g.N()))
-			l.Config().States[corrupt] = core.PointAt(graph.NodeID((int(corrupt) + 1) % g.N()))
-			core.NormalizeSMM(l.Config())
-		}
+			seed := int64(trial)
+			churnOn := func(g *graph.Graph, l *Lockstep[core.Pointer]) {
+				churn := rand.New(rand.NewSource(seed + 900))
+				for j := 0; j < 3; j++ {
+					u := graph.NodeID(churn.Intn(g.N()))
+					v := graph.NodeID(churn.Intn(g.N()))
+					if u == v {
+						continue
+					}
+					if g.HasEdge(u, v) {
+						g.RemoveEdge(u, v)
+					} else {
+						g.AddEdge(u, v)
+					}
+				}
+				core.NormalizeSMM(l.Config())
+				corrupt := graph.NodeID(churn.Intn(g.N()))
+				l.Config().States[corrupt] = core.PointAt(graph.NodeID((int(corrupt) + 1) % g.N()))
+				core.NormalizeSMM(l.Config())
+			}
 
-		gr := mk()
-		ref := NewReferenceLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), gr, seed))
-		r0 := ref.Run(gr.N() + 2)
-		churnOn(gr, ref)
-		r1 := ref.Run(gr.N() + 2)
+			gr := mk()
+			ref := NewReferenceLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), gr, seed))
+			r0 := ref.Run(gr.N() + 2)
+			churnOn(gr, ref)
+			r1 := ref.Run(gr.N() + 2)
 
-		for _, k := range shardCounts {
-			gs := mk()
-			sh := NewShardedLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), gs, seed), k)
-			if got := sh.Run(gs.N() + 2); got != r0 {
-				t.Fatalf("trial %d shards=%d: initial runs diverged: %v vs %v", trial, k, got, r0)
-			}
-			churnOn(gs, sh)
-			if got := sh.Run(gs.N() + 2); got != r1 {
-				t.Fatalf("trial %d shards=%d: post-churn runs diverged: %v vs %v", trial, k, got, r1)
-			}
-			for v := range sh.cfg.States {
-				if sh.cfg.States[v] != ref.cfg.States[v] {
-					t.Fatalf("trial %d shards=%d: node %d diverged after churn", trial, k, v)
+			for _, k := range shardCounts {
+				gs := mk()
+				sh := NewShardedLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), gs, seed), k)
+				if got := sh.Run(gs.N() + 2); got != r0 {
+					t.Fatalf("trial %d shards=%d: initial runs diverged: %v vs %v", trial, k, got, r0)
 				}
+				churnOn(gs, sh)
+				if got := sh.Run(gs.N() + 2); got != r1 {
+					t.Fatalf("trial %d shards=%d: post-churn runs diverged: %v vs %v", trial, k, got, r1)
+				}
+				for v := range sh.cfg.States {
+					if sh.cfg.States[v] != ref.cfg.States[v] {
+						t.Fatalf("trial %d shards=%d: node %d diverged after churn", trial, k, v)
+					}
+				}
+				sh.Close()
 			}
-			sh.Close()
 		}
-	}
+	})
 }
 
 // The SetShards seam must shard frontier-engine executors built after it
@@ -444,28 +469,30 @@ func (c countMoves[S]) Move(v core.View[S]) (S, bool) {
 // here so it cannot regress silently. Both quiet rounds and active
 // fault-recovery rounds are measured after the buffers have warmed up.
 func TestShardedStepZeroAllocSteadyState(t *testing.T) {
-	g := graph.RandomConnected(256, 0.03, rand.New(rand.NewSource(42)))
-	for _, k := range []int{1, 4} {
-		p := core.NewSMM()
-		cfg := equivCfg[core.Pointer](p, g, 42)
-		l := NewShardedLockstep[core.Pointer](p, cfg, k)
-		if res := l.Run(g.N() + 2); !res.Stable {
-			t.Fatalf("shards=%d: did not stabilize: %v", k, res)
-		}
-		if avg := testing.AllocsPerRun(50, func() { l.Step() }); avg != 0 {
-			t.Fatalf("shards=%d: quiet round allocates: %v allocs/op", k, avg)
-		}
-		victim := graph.NodeID(17)
-		if avg := testing.AllocsPerRun(50, func() {
-			cfg.States[victim] = core.Null
-			l.DirtyState(victim)
-			for l.Step() > 0 {
+	eachDense(t, func(t *testing.T) {
+		g := graph.RandomConnected(256, 0.03, rand.New(rand.NewSource(42)))
+		for _, k := range []int{1, 4} {
+			p := core.NewSMM()
+			cfg := equivCfg[core.Pointer](p, g, 42)
+			l := NewShardedLockstep[core.Pointer](p, cfg, k)
+			if res := l.Run(g.N() + 2); !res.Stable {
+				t.Fatalf("shards=%d: did not stabilize: %v", k, res)
 			}
-		}); avg != 0 {
-			t.Fatalf("shards=%d: active recovery allocates: %v allocs/op", k, avg)
+			if avg := testing.AllocsPerRun(50, func() { l.Step() }); avg != 0 {
+				t.Fatalf("shards=%d: quiet round allocates: %v allocs/op", k, avg)
+			}
+			victim := graph.NodeID(17)
+			if avg := testing.AllocsPerRun(50, func() {
+				cfg.States[victim] = core.Null
+				l.DirtyState(victim)
+				for l.Step() > 0 {
+				}
+			}); avg != 0 {
+				t.Fatalf("shards=%d: active recovery allocates: %v allocs/op", k, avg)
+			}
+			l.Close()
 		}
-		l.Close()
-	}
+	})
 }
 
 // A link flip must cost what the protocol's own repair costs: removing
