@@ -38,9 +38,6 @@ func (f *FaultNetwork[S]) Topology() *graph.Graph { return f.n.g }
 // Config implements faults.Target (a snapshot; see Network.Config).
 func (f *FaultNetwork[S]) Config() core.Config[S] { return f.n.Config() }
 
-// ReadState implements faults.Target.
-func (f *FaultNetwork[S]) ReadState(v graph.NodeID) S { return f.n.nodes[v].state }
-
 // WriteState implements faults.Target. Neighbors learn the new state
 // from the node's next beacon; the node itself must re-evaluate, so it
 // is marked dirty.

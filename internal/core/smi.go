@@ -33,26 +33,10 @@ func (*SMI) Random(_ graph.NodeID, _ []graph.NodeID, rng *rand.Rand) bool {
 // Move implements Protocol by evaluating R1 and R2.
 func (*SMI) Move(v View[bool]) (bool, bool) {
 	biggerIn := false
-	if peers := v.Peers; peers != nil {
-		// Direct-read path: the bigger neighbors are a suffix of the
-		// ascending list, so start at the end and stop at the first ID at
-		// or below ours (the Peers contract lets reads reorder freely).
-		for i := len(v.Nbrs) - 1; i >= 0; i-- {
-			j := v.Nbrs[i]
-			if j <= v.ID {
-				break
-			}
-			if peers[j] {
-				biggerIn = true
-				break
-			}
-		}
-	} else {
-		for _, j := range v.Nbrs {
-			if j > v.ID && v.Peer(j) {
-				biggerIn = true
-				break
-			}
+	for _, j := range v.Nbrs {
+		if j > v.ID && v.Peer(j) {
+			biggerIn = true
+			break
 		}
 	}
 	switch {

@@ -353,7 +353,6 @@ type scriptTarget struct {
 func (s *scriptTarget) Model() string                      { return "script" }
 func (s *scriptTarget) Topology() *graph.Graph             { return s.g }
 func (s *scriptTarget) Config() core.Config[bool]          { return core.Config[bool]{G: s.g, States: s.states} }
-func (s *scriptTarget) ReadState(v graph.NodeID) bool      { return s.states[v] }
 func (s *scriptTarget) WriteState(v graph.NodeID, b bool)  { s.states[v] = b }
 func (s *scriptTarget) SetLink(e graph.Edge, present bool) {}
 func (s *scriptTarget) DropLink(e graph.Edge, rounds int)  {}

@@ -13,7 +13,7 @@ import (
 //
 // The methods split into three groups: injection primitives the engine
 // composes high-level faults from (WriteState, SetLink, DropLink,
-// Freeze), observation (Topology, Config, ReadState), and model
+// Freeze), observation (Topology, Config), and model
 // calibration constants that let the recovery monitor use one logical
 // clock across executors whose physical behavior differs (Warmup,
 // DetectionLag, QuietRounds).
@@ -32,9 +32,6 @@ type Target[S comparable] interface {
 	// slice may alias executor state; the engine copies before keeping
 	// it across Steps.
 	Config() core.Config[S]
-
-	// ReadState returns node v's current state.
-	ReadState(v graph.NodeID) S
 
 	// WriteState overwrites node v's state — a transient memory fault or
 	// an arbitrary resurrection state. The write is visible to v's next

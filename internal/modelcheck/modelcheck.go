@@ -127,14 +127,14 @@ func (sp *space[S]) encode(from []S) (uint64, error) {
 }
 
 func (sp *space[S]) successor(cur []S, into []S) {
+	peer := func(j graph.NodeID) S { return cur[j] }
 	for v := range sp.domains {
 		id := graph.NodeID(v)
 		into[v], _ = sp.p.Move(core.View[S]{
-			ID:    id,
-			Self:  cur[v],
-			Nbrs:  sp.g.Neighbors(id),
-			Peer:  func(j graph.NodeID) S { return cur[j] },
-			Peers: cur,
+			ID:   id,
+			Self: cur[v],
+			Nbrs: sp.g.Neighbors(id),
+			Peer: peer,
 		})
 	}
 }

@@ -49,8 +49,25 @@ func FuzzJournalRecover(f *testing.F) {
 	f.Fuzz(func(t *testing.T, cut int64, flip byte, tail []byte, segCount uint8, dropMid, swapSegs bool) {
 		const n = 8
 		meta := tenantMeta{ID: "fuzz", Protocol: ProtocolSMM, N: n, Seed: 42}
-		lines := make([][]byte, 0, 8)
-		for i, m := range mutationScript(n) {
+		// Converge entries of both journal formats sit between the
+		// mutations: written ahead with their budget, and written after
+		// their epoch ran, with and without stable.
+		s := mutationScript(n)
+		script := []Mutation{
+			s[0], s[1],
+			{Op: OpConverge, Rounds: n + 2, Key: "c1"},
+			s[2], s[3],
+			{Op: OpConverge, Stable: true},
+			s[4],
+			{Op: OpConverge, Rounds: 2, Stable: true},
+			s[5],
+			{Op: OpConverge},
+			s[6],
+			{Op: OpConverge, Rounds: 1},
+			s[7],
+		}
+		lines := make([][]byte, 0, len(script))
+		for i, m := range script {
 			m.Seq = int64(i + 1)
 			line, err := json.Marshal(m)
 			if err != nil {

@@ -21,7 +21,9 @@ type MutationResult struct {
 	Bound     int    `json:"bound"`
 }
 
-// convergeRequest is the body of POST .../converge.
+// convergeRequest is the body of POST .../converge. Rounds is the
+// epoch's round budget: bound+1 when it is zero or less, and capped at
+// bound+1, so no journaled epoch runs longer than a mutation's.
 type convergeRequest struct {
 	Rounds int    `json:"rounds"`
 	Key    string `json:"key,omitempty"`
@@ -64,22 +66,13 @@ func (s *Service) withTenant(h func(http.ResponseWriter, *http.Request, *tenant)
 }
 
 func (s *Service) handleListTenants(w http.ResponseWriter, r *http.Request) {
-	limit := queryInt(r, "limit", 100)
-	offset := queryInt(r, "offset", 0)
-	if limit < 1 {
-		limit = 1
-	}
-	if offset < 0 {
-		offset = 0
-	}
 	ids := s.TenantIDs()
 	total := len(ids)
-	if offset > total {
-		offset = total
-	}
-	if offset+limit > total {
-		limit = total - offset
-	}
+	// Clamp offset into [0, total] first, then limit into what is left
+	// of the list: offset+limit is never formed before it is known to
+	// fit, so a huge limit cannot overflow it.
+	offset := min(max(queryInt(r, "offset", 0), 0), total)
+	limit := min(max(queryInt(r, "limit", 100), 1), total-offset)
 	page := ids[offset : offset+limit]
 	statuses := make([]TenantStatus, 0, len(page))
 	for _, id := range page {
@@ -179,11 +172,11 @@ func (s *Service) handleConverge(w http.ResponseWriter, r *http.Request, t *tena
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
 		return
 	}
-	if req.Rounds <= 0 {
+	if req.Rounds <= 0 || req.Rounds > t.bound+1 {
 		req.Rounds = t.bound + 1
 	}
 	m := Mutation{Op: OpConverge, Rounds: req.Rounds, Key: req.Key}
-	s.submit(w, r, t, &command{mut: m, ctx: r.Context(), reply: make(chan cmdResult, 1)})
+	s.submit(w, r, t, &command{mut: m, reply: make(chan cmdResult, 1)})
 }
 
 // submit is the degradation ladder: rate limit (429), quarantine (503),
@@ -248,9 +241,9 @@ func (s *Service) finishSubmit(w http.ResponseWriter, t *tenant, res cmdResult) 
 		case errors.Is(res.Err, errQuarantined):
 			s.panics.Add(1)
 			writeErr(w, http.StatusServiceUnavailable, res.Err)
-		case errors.Is(res.Err, context.Canceled), errors.Is(res.Err, context.DeadlineExceeded):
-			// A truncated converge epoch: journaled with the rounds that
-			// actually ran. Report what happened rather than an error.
+		case errors.Is(res.Err, context.Canceled):
+			// Killed mid-epoch: the entry is durable, and recovery
+			// completes its epoch. Report the seq rather than an error.
 			writeJSON(w, http.StatusOK, MutationResult{
 				Seq: res.Seq, Rounds: res.Rounds, Converged: res.Converged,
 				Legit: res.Legit, CheckErr: res.CheckErr, Bound: t.bound,

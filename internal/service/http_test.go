@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 )
 
@@ -30,6 +32,60 @@ func TestListPagination(t *testing.T) {
 	code, _ = doJSON(t, h, "GET", "/v1/tenants?limit=10&offset=99", nil, &page)
 	if code != http.StatusOK || len(page.Tenants) != 0 {
 		t.Fatalf("past-end pagination: code %d len %d", code, len(page.Tenants))
+	}
+}
+
+// TestListPaginationExtremes serves the list over a real server with
+// every pairing of extreme limits and offsets: each must answer 200 with
+// the page clamped into [0, total]. A limit near MaxInt64 once made
+// offset+limit overflow, and the handler panicked on the slice; net/http
+// turned that into a dropped connection.
+func TestListPaginationExtremes(t *testing.T) {
+	svc := newTestService(t, Options{})
+	h := svc.Handler()
+	const total = 3
+	for i := range total {
+		pathTenant(t, h, fmt.Sprintf("e%d", i), ProtocolSMM, 4)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	values := []string{"9223372036854775807", "-9223372036854775808", "-1", "0", "1", strconv.Itoa(total), strconv.Itoa(total + 1), "x"}
+	// want clamps one value the way the endpoint must: unparsable means
+	// the default, then lo ≤ v ≤ hi.
+	want := func(raw string, def, lo, hi int) int {
+		v, err := strconv.Atoi(raw)
+		if err != nil {
+			v = def
+		}
+		return min(max(v, lo), hi)
+	}
+	for _, limit := range values {
+		for _, offset := range values {
+			resp, err := srv.Client().Get(srv.URL + "/v1/tenants?limit=" + limit + "&offset=" + offset)
+			if err != nil {
+				t.Errorf("limit=%s offset=%s: %v", limit, offset, err)
+				continue
+			}
+			var page struct {
+				Total   int            `json:"total"`
+				Offset  int            `json:"offset"`
+				Tenants []TenantStatus `json:"tenants"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&page)
+			resp.Body.Close()
+			wantOff := want(offset, 0, 0, total)
+			wantLen := want(limit, 100, 1, total-wantOff)
+			if resp.StatusCode != http.StatusOK || err != nil || page.Total != total || page.Offset != wantOff || len(page.Tenants) != wantLen {
+				t.Errorf("limit=%s offset=%s: status %d err %v page %+v, want offset %d and %d tenants",
+					limit, offset, resp.StatusCode, err, page, wantOff, wantLen)
+				continue
+			}
+			for i, st := range page.Tenants {
+				if id := fmt.Sprintf("e%d", wantOff+i); st.ID != id {
+					t.Errorf("limit=%s offset=%s: tenant %d is %s, want %s", limit, offset, i, st.ID, id)
+				}
+			}
+		}
 	}
 }
 

@@ -15,9 +15,7 @@ import (
 
 // Mutation is one journaled topology/state event. Exactly the fields a
 // replay needs: the operation, its operands, and the idempotency key
-// clients may attach. Rounds is filled in post-hoc for converge entries
-// (the one op whose effect depends on how many rounds actually ran —
-// a deadline can truncate it, so the journal records the truth).
+// clients may attach.
 type Mutation struct {
 	Seq   int64  `json:"seq"`
 	Op    string `json:"op"`
@@ -25,14 +23,15 @@ type Mutation struct {
 	V     *int   `json:"v,omitempty"`
 	Nodes []int  `json:"nodes,omitempty"`
 	Seed  int64  `json:"seed,omitempty"`
-	// Rounds is the active-round budget a converge entry executed
-	// (recorded after the fact); zero for ordinary mutations, whose
-	// budget is always the deterministic per-protocol bound.
+	// Rounds is a converge entry's round budget, journaled before its
+	// epoch runs: the requested rounds, capped at bound+1, which is also
+	// the default. Zero for other ops, whose budget is always bound+1.
 	Rounds int `json:"rounds,omitempty"`
-	// Stable records whether a converge entry reached a fixed point.
-	// Replay re-runs exactly Rounds active rounds, which reproduces the
-	// states but not the stability discovery (that took one extra
-	// zero-move probe round the recorded budget doesn't cover).
+	// Stable is read only from converge entries of the earlier format,
+	// journaled after their epoch with the active rounds that ran. Set,
+	// it says a quiet round then found the fixed point, so the entry
+	// replays with budget Rounds+1 (see tenant.epochBudget). New
+	// entries never set it.
 	Stable bool   `json:"stable,omitempty"`
 	Key    string `json:"key,omitempty"`
 }

@@ -24,13 +24,11 @@ var (
 
 // command is one unit of work for a tenant's event loop. The reply
 // channel is buffered (capacity 1) so the loop never blocks on a
-// handler that gave up waiting.
+// handler that gave up waiting. No request context rides along: every
+// journaled op runs its whole budget, so a client deadline cannot
+// change where the state lands.
 type command struct {
-	mut Mutation
-	// ctx is the request context; it bounds OpConverge execution only.
-	// Ordinary mutations always run their full deterministic epoch —
-	// a client deadline must not change where the state lands.
-	ctx   context.Context
+	mut   Mutation
 	reply chan cmdResult
 }
 
@@ -173,8 +171,8 @@ type tenantOptions struct {
 // newTenant builds (or recovers) a tenant from its directory and starts
 // its event loop. Recovery is replay: engine from meta, then either the
 // latest snapshot or the deterministic init epoch, then every journal
-// entry past the snapshot — each with its full deterministic
-// convergence budget, landing byte-identical to the uninterrupted run.
+// entry past the snapshot — each with the budget epochBudget gives it,
+// as live, landing byte-identical to the uninterrupted run.
 //
 // Runs strictly before `go t.loop()` spawns the event loop, so it (and
 // the recovery helpers it calls) owns the loop's fields pre-spawn.
@@ -243,7 +241,7 @@ func (t *tenant) recoverFrom(entries []Mutation, firstSeg int64) error {
 		// Init epoch: converge the clean starting configuration. This is
 		// seq 0 of the deterministic derivation, so it runs the same
 		// bounded budget mutations do.
-		rounds, moves, stable, err := t.runEpoch(t.svcCtx, t.bound+1)
+		rounds, moves, stable, err := t.runEpoch(t.bound + 1)
 		if err != nil {
 			return err
 		}
@@ -261,19 +259,10 @@ func (t *tenant) recoverFrom(entries []Mutation, firstSeg int64) error {
 		if err := t.replayEntry(m); err != nil {
 			return fmt.Errorf("replay seq %d: %w", m.Seq, err)
 		}
-		budget, counted := t.bound+1, true
-		if m.Op == OpConverge {
-			budget, counted = m.Rounds, false
-		}
-		rounds, moves, stable, err := t.runEpoch(t.svcCtx, budget)
+		budget, counted := t.epochBudget(m)
+		rounds, moves, stable, err := t.runEpoch(budget)
 		if err != nil {
 			return fmt.Errorf("replay seq %d: %w", m.Seq, err)
-		}
-		if m.Op == OpConverge {
-			// The journaled outcome is authoritative: replay executes the
-			// recorded rounds and reproduces the states, but cannot see
-			// the stability probe the original run performed.
-			stable = m.Stable
 		}
 		t.noteEpoch(m.Seq, rounds, moves, stable, counted)
 	}
@@ -425,7 +414,7 @@ func (t *tenant) replayEntry(m Mutation) error {
 
 // loop is the single writer. Each wakeup gathers a batch from the
 // bounded queue and processes it with one group commit per contiguous
-// run of journalable mutations. It exits on graceful quit (drain queue,
+// run of journaled ops. It exits on graceful quit (drain queue,
 // flush a final checkpoint), service kill (immediately, no flush — the
 // journal is already durable), or quarantine after a panic.
 func (t *tenant) loop() {
@@ -476,30 +465,22 @@ func (t *tenant) gather(first *command) []*command {
 	return append([]*command{first}, t.drainQueued()...)
 }
 
-// isBarrier reports whether an op cannot join a group commit: converge
-// journals post-hoc (its entry records the rounds actually executed,
-// unknowable before running) and chaos panics never journal at all.
-// Batching either with write-ahead mutations would let a later seq
-// reach the journal before an earlier one, breaking the strictly
-// ascending order recovery depends on.
-func isBarrier(op string) bool { return op == OpConverge || op == OpChaosPanic }
+// isBarrier reports whether an op must run alone instead of joining a
+// group commit. Only a chaos panic does: it quarantines the tenant
+// before prepare and is never journaled, so it waits for the run before
+// it to commit and reply rather than strand that run's buffered
+// entries.
+func isBarrier(op string) bool { return op == OpChaosPanic }
 
-// handleBatch splits a batch into contiguous runs of journalable
-// mutations (group-committed by handleRun) separated by barrier ops
-// (processed singly by handle). Commands are replied to strictly in
-// arrival order. Returns false when the loop must exit; commands not
-// yet replied to are then covered by the closed dead channel.
+// handleBatch splits a batch into contiguous runs of journaled ops,
+// each group-committed by handleRun, and barrier ops, each run alone.
+// Commands are replied to strictly in arrival order. Returns false when
+// the loop must exit; commands not yet replied to are then covered by
+// the closed dead channel.
 func (t *tenant) handleBatch(batch []*command) bool {
 	for len(batch) > 0 {
-		if isBarrier(batch[0].mut.Op) {
-			if !t.handle(batch[0]) {
-				return false
-			}
-			batch = batch[1:]
-			continue
-		}
 		n := 1
-		for n < len(batch) && !isBarrier(batch[n].mut.Op) {
+		for !isBarrier(batch[0].mut.Op) && n < len(batch) && !isBarrier(batch[n].mut.Op) {
 			n++
 		}
 		if !t.handleRun(batch[:n]) {
@@ -521,14 +502,16 @@ type pendingCmd struct {
 	done bool
 }
 
-// handleRun processes one contiguous run of journalable mutations as a
-// group commit: every entry is prepared (seq assigned, buffered
-// append), then a single fsync makes the whole run durable, and only
-// then is anything applied. That keeps the write-ahead invariant
-// batch-wide — no mutation's effect exists in memory before its entry
-// is durable — at one fsync per run instead of one per entry. A panic
-// anywhere quarantines the tenant; a commit failure does too, because a
-// partially flushed buffer would corrupt every later append.
+// handleRun processes one contiguous run of journaled ops as a group
+// commit: every entry is prepared (seq assigned, buffered append), then
+// a single fsync makes the whole run durable, and only then is anything
+// applied and its epoch run. That keeps the write-ahead invariant
+// batch-wide — no op's effect exists in memory before its entry is
+// durable — at one fsync per run instead of one per entry. A panic
+// anywhere quarantines the tenant: the panic value is recorded, the
+// waiting client gets an error, and the loop exits while the daemon
+// keeps serving every other tenant. A commit failure quarantines too,
+// because a partially flushed buffer would corrupt every later append.
 func (t *tenant) handleRun(run []*command) (ok bool) {
 	var current *command
 	defer func() {
@@ -543,6 +526,12 @@ func (t *tenant) handleRun(run []*command) (ok bool) {
 	pend := make([]pendingCmd, 0, len(run))
 	for _, cmd := range run {
 		current = cmd
+		if cmd.mut.Op == OpChaosPanic {
+			// Deliberate crash for the chaos tier, alone in its run (see
+			// isBarrier). Never journaled: a replay must recover the
+			// tenant, not re-crash it.
+			panic("chaos: injected panic via API")
+		}
 		m := cmd.mut
 		res, done := t.prepare(&m)
 		pend = append(pend, pendingCmd{cmd: cmd, mut: m, res: res, done: done})
@@ -563,76 +552,24 @@ func (t *tenant) handleRun(run []*command) (ok bool) {
 			continue
 		}
 		t.applyLocked(p.mut)
-		rounds, moves, stable, cerr := t.runEpoch(t.svcCtx, t.bound+1)
-		if t.svcCtx.Err() != nil {
+		budget, counted := t.epochBudget(p.mut)
+		rounds, moves, stable, err := t.runEpoch(budget)
+		if err != nil {
 			// Killed mid-epoch: the in-memory state is off the
 			// deterministic trajectory and will be discarded; recovery
 			// replays the journal. Do not checkpoint.
-			p.cmd.reply <- cmdResult{Seq: p.mut.Seq, Err: t.svcCtx.Err()}
+			p.cmd.reply <- cmdResult{Seq: p.mut.Seq, Err: err}
 			return false
 		}
-		p.cmd.reply <- t.finish(p.mut, rounds, moves, stable, true, cerr)
+		p.cmd.reply <- t.finish(p.mut, rounds, moves, stable, counted)
 	}
-	return true
-}
-
-// handle processes one barrier command (converge or chaos panic). A
-// panic anywhere in the pipeline quarantines the tenant: the panic
-// value is recorded, the waiting client gets an error, and the loop
-// exits — the daemon keeps serving every other tenant.
-func (t *tenant) handle(cmd *command) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			t.setQuarantined(fmt.Sprintf("%v", r))
-			cmd.reply <- cmdResult{Err: fmt.Errorf("%w: %v", errQuarantined, r)}
-			ok = false
-		}
-	}()
-	m := cmd.mut
-	if m.Op == OpChaosPanic {
-		// Deliberate crash for the chaos tier. Never journaled: a replay
-		// must recover the tenant, not re-crash it.
-		panic("chaos: injected panic via API")
-	}
-	res, done := t.prepare(&m)
-	if done {
-		cmd.reply <- res
-		return true
-	}
-
-	ctx := t.svcCtx
-	if cmd.ctx != nil {
-		// A converge request honors its deadline (unlike mutations):
-		// truncation is journaled with the rounds actually executed,
-		// so replay reproduces it.
-		mctx, cancel := context.WithCancel(cmd.ctx)
-		defer cancel()
-		stop := context.AfterFunc(t.svcCtx, cancel)
-		defer stop()
-		ctx = mctx
-	}
-	rounds, moves, stable, cerr := t.runEpoch(ctx, m.Rounds)
-	if t.svcCtx.Err() != nil {
-		// Killed mid-epoch: see handleRun.
-		cmd.reply <- cmdResult{Seq: m.Seq, Err: t.svcCtx.Err()}
-		return false
-	}
-	// Journal the converge entry post-hoc with the outcome it actually
-	// had, committed (fsynced) before the client is acknowledged.
-	m.Rounds, m.Stable = rounds, stable
-	if err := t.journalAppend(m); err != nil {
-		t.setQuarantined(fmt.Sprintf("journal commit: %v", err))
-		cmd.reply <- cmdResult{Seq: m.Seq, Err: fmt.Errorf("%w: journal commit: %v", errQuarantined, err)}
-		return false
-	}
-	cmd.reply <- t.finish(m, rounds, moves, stable, false, cerr)
 	return true
 }
 
 // prepare assigns the sequence number and buffers the journal entry for
-// the mutation (write-ahead: the caller must commit — fsync — before
-// applying it). Converge entries skip the append here and are journaled
-// post-hoc in handle with the rounds they actually executed.
+// the op (write-ahead: the caller must commit — fsync — before applying
+// it). A converge entry carries its round budget: nothing in it depends
+// on how its epoch goes.
 func (t *tenant) prepare(m *Mutation) (cmdResult, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -652,11 +589,9 @@ func (t *tenant) prepare(m *Mutation) (cmdResult, bool) {
 		// seq), so replaying the journal redraws identical states.
 		m.Seed = deriveSeed(t.seed, "mutation", int(m.Seq))
 	}
-	if m.Op != OpConverge {
-		if err := t.jr.append(*m); err != nil {
-			t.seq--
-			return cmdResult{Err: err}, true
-		}
+	if err := t.jr.append(*m); err != nil {
+		t.seq--
+		return cmdResult{Err: err}, true
 	}
 	if m.Key != "" {
 		remember(t.dedup, &t.dedupR, m.Key, m.Seq)
@@ -708,41 +643,52 @@ func (t *tenant) applyLocked(m Mutation) {
 	}
 }
 
+// epochBudget is the round budget of the epoch after entry m and
+// whether that epoch counts toward the bound statistics, one rule for
+// the live path and replay. Mutations run bound+1 rounds, counted. A
+// converge runs the budget its entry carries, uncounted: the client
+// chose it, so it says nothing about the paper's bound. A converge
+// entry of the earlier post-hoc format with Stable set ran Rounds
+// active rounds and then the quiet round that found the fixed point, so
+// it replays with one round more.
+func (t *tenant) epochBudget(m Mutation) (budget int, counted bool) {
+	switch {
+	case m.Op != OpConverge:
+		return t.bound + 1, true
+	case m.Stable:
+		return m.Rounds + 1, false
+	default:
+		return m.Rounds, false
+	}
+}
+
 // runEpoch drives convergence in short slices, releasing the lock
 // between slices so reads stay responsive during long epochs. The
 // sliced trajectory is pinned byte-identical to a one-shot run by
-// TestConvergeCtxChunkedMatchesOneShot in internal/sim.
-func (t *tenant) runEpoch(ctx context.Context, budget int) (rounds, moves int, stable bool, err error) {
-	for rounds < budget {
-		sl := t.slice
-		if sl > budget-rounds {
-			sl = budget - rounds
-		}
+// TestConvergeCtxChunkedMatchesOneShot in internal/sim. The only error
+// is the service's kill, checked between rounds and once more at the
+// end: the states may then be off the trajectory, and nothing may be
+// checkpointed.
+func (t *tenant) runEpoch(budget int) (rounds, moves int, stable bool, err error) {
+	for rounds < budget && !stable {
+		sl := min(t.slice, budget-rounds)
 		t.mu.Lock()
-		r, mv, st, cerr := t.eng.converge(ctx, sl)
+		r, mv, st, cerr := t.eng.converge(t.svcCtx, sl)
 		t.mu.Unlock()
-		rounds += r
-		moves += mv
-		if st {
-			return rounds, moves, true, nil
-		}
+		rounds, moves, stable = rounds+r, moves+mv, st
 		if cerr != nil {
-			return rounds, moves, false, cerr
+			break
 		}
 	}
-	return rounds, moves, false, nil
+	return rounds, moves, stable, t.svcCtx.Err()
 }
 
 // finish updates epoch accounting and checkpoints at the snapshot
 // cadence. Only the event-loop goroutine calls it, so the lock/unlock
 // seams between the steps admit readers but never writers.
-func (t *tenant) finish(m Mutation, rounds, moves int, stable, counted bool, cerr error) cmdResult {
+func (t *tenant) finish(m Mutation, rounds, moves int, stable, counted bool) cmdResult {
 	t.noteEpoch(m.Seq, rounds, moves, stable, counted)
 	res := t.epochResult(m.Seq, rounds)
-	if cerr != nil {
-		res.Err = cerr
-		return res
-	}
 	if t.checkpointDue(m.Seq) {
 		if err := t.checkpoint(); err != nil {
 			res.Err = err
@@ -751,27 +697,12 @@ func (t *tenant) finish(m Mutation, rounds, moves int, stable, counted bool, cer
 	return res
 }
 
-// journalAppend is the locked append+commit seam for post-hoc
-// (OpConverge) journal entries: one entry, one fsync, durable before
-// the acknowledgement.
-//
-//selfstab:journal
-func (t *tenant) journalAppend(m Mutation) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.jr.append(m); err != nil {
-		return err
-	}
-	return t.jr.commit()
-}
-
 // checkpointDue reports whether the epoch of seq ends at a checkpoint
 // seq (seq 0 is the init epoch's).
 func (t *tenant) checkpointDue(seq int64) bool { return t.snapEvery > 0 && seq%t.snapEvery == 0 }
 
 // noteEpoch folds the outcome of the epoch of seq into the tenant
-// counters. counted=false for explicit converge requests, whose budget
-// is client-chosen and therefore says nothing about the paper's bound.
+// counters; counted is epochBudget's.
 // The legitimacy check scans the whole tenant at checkpoint seqs and
 // otherwise only the region the epoch touched.
 func (t *tenant) noteEpoch(seq int64, rounds, moves int, stable, counted bool) {

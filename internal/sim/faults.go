@@ -67,9 +67,6 @@ func (f *FaultLockstep[S]) Topology() *graph.Graph { return f.l.cfg.G }
 // Config implements faults.Target: the live configuration.
 func (f *FaultLockstep[S]) Config() core.Config[S] { return f.l.cfg }
 
-// ReadState implements faults.Target.
-func (f *FaultLockstep[S]) ReadState(v graph.NodeID) S { return f.l.cfg.States[v] }
-
 // WriteState implements faults.Target. The overwrite changes v's own
 // view and the view of every neighbor, so that closed neighborhood is
 // re-dirtied.

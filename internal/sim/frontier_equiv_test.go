@@ -79,24 +79,19 @@ func TestFrontierMatchesReferenceSMI(t *testing.T) {
 }
 
 // opaque hides every optional fast-path interface of a protocol (batch
-// evaluator, shard kernel) and strips the direct-read state vector from
-// each view, forcing executors onto the per-node closure path with the
-// generic commit and mark — the third evaluation path, which the batch
-// kernels must match move for move and state for state.
+// evaluator, shard kernel), forcing executors onto the per-node Move
+// path with the generic commit and mark, which the batch kernels must
+// match move for move and state for state.
 type opaque[S comparable] struct{ p core.Protocol[S] }
 
 func (o opaque[S]) Name() string { return o.p.Name() }
 func (o opaque[S]) Random(id graph.NodeID, nbrs []graph.NodeID, rng *rand.Rand) S {
 	return o.p.Random(id, nbrs, rng)
 }
-func (o opaque[S]) Move(v core.View[S]) (S, bool) {
-	v.Peers = nil
-	return o.p.Move(v)
-}
+func (o opaque[S]) Move(v core.View[S]) (S, bool) { return o.p.Move(v) }
 
-// The batch kernels (MoveBatch + CommitBatch + MarkBatch), the
-// direct-read Move path, and the closure-read Move path are three
-// implementations of the same rules; this pins all three to each other
+// The batch kernels (MoveBatch + CommitBatch + MarkBatch) and Move are
+// two implementations of the same rules; this pins them to each other
 // on both engines.
 func TestBatchKernelsMatchClosurePath(t *testing.T) {
 	eachDense(t, func(t *testing.T) {

@@ -276,19 +276,18 @@ func (l *Lockstep[S]) evalShard(s int) {
 		l.kern.MoveBatch(ids, l.cfg.G, states, l.next, l.moved)
 		return
 	}
-	pv, direct := l.peerFn, states
+	pv := l.peerFn
 	if l.filtered {
-		pv, direct = sh.filtFn, nil // mediated reads: protocols must go through Peer
+		pv = sh.filtFn
 	}
 	for _, id := range ids {
 		sh.fv.viewer = id // read only by the filtered reader
 		//lint:ignore noalloc generic fallback for protocols without batch kernels; the kernel path above is the allocation-free one
 		next, m := l.p.Move(core.View[S]{
-			ID:    id,
-			Self:  states[id],
-			Nbrs:  l.cfg.G.Neighbors(id),
-			Peer:  pv,
-			Peers: direct,
+			ID:   id,
+			Self: states[id],
+			Nbrs: l.cfg.G.Neighbors(id),
+			Peer: pv,
 		})
 		l.next[id] = next
 		l.moved[id] = m
