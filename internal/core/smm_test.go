@@ -275,3 +275,53 @@ func TestConfigHelpers(t *testing.T) {
 		}
 	}
 }
+
+// TestSMMMoveAllocationFree pins that Move reading through Peer
+// allocates nothing under any policy, R2 included: the central and
+// distributed daemons call it for every node at every step.
+func TestSMMMoveAllocationFree(t *testing.T) {
+	g := graph.Star(5)
+	cfg := pointerCfg(g, Null, Null, Null, Null, Null)
+	for _, p := range []*SMM{{}, {Proposal: ProposeMaxID}, {Proposal: ProposeSuccessor}, {Accept: AcceptMaxID}} {
+		for _, id := range []graph.NodeID{0, 3} {
+			v := cfg.View(id)
+			if avg := testing.AllocsPerRun(20, func() { p.Move(v) }); avg != 0 {
+				t.Errorf("%s: Move(node %d) allocates %.1f times per call", p.Name(), id, avg)
+			}
+		}
+	}
+}
+
+// TestSMMSuccessorReadsEveryNeighbor pins the successor policy's read
+// sequence through Peer: the R1 scan and the R2 scan each read every
+// neighbor once, in order, wherever the choice falls. The stale-view
+// executor draws a lag per read, so its runs depend on this sequence.
+func TestSMMSuccessorReadsEveryNeighbor(t *testing.T) {
+	g := graph.Star(5)
+	cfg := pointerCfg(g, Null, Null, Null, Null, Null)
+	for _, c := range []struct {
+		id   graph.NodeID
+		want Pointer
+	}{{0, PointAt(1)}, {3, PointAt(0)}} {
+		v := cfg.View(c.id)
+		var reads []graph.NodeID
+		fresh := v.Peer
+		v.Peer = func(j graph.NodeID) Pointer {
+			reads = append(reads, j)
+			return fresh(j)
+		}
+		next, moved := NewSMMArbitrary().Move(v)
+		if !moved || next != c.want {
+			t.Fatalf("node %d: got (%v, %v), want (%v, true)", c.id, next, moved, c.want)
+		}
+		want := append(append([]graph.NodeID(nil), v.Nbrs...), v.Nbrs...)
+		if len(reads) != len(want) {
+			t.Fatalf("node %d read %v, want %v", c.id, reads, want)
+		}
+		for i := range want {
+			if reads[i] != want[i] {
+				t.Fatalf("node %d read %v, want %v", c.id, reads, want)
+			}
+		}
+	}
+}
