@@ -57,7 +57,6 @@ func run(args []string, out, errw io.Writer, sig <-chan os.Signal) int {
 	rate := fs.Float64("rate", 0, "per-tenant sustained requests/sec (0 = default)")
 	burst := fs.Int("burst", 0, "per-tenant burst allowance (0 = default)")
 	snapEvery := fs.Int("snapshot-every", 0, "checkpoint every N mutations (0 = default, negative disables)")
-	slice := fs.Int("slice", 0, "rounds per scheduling slice inside an epoch (0 = default)")
 	shards := fs.Int("shards", 0, "executor shards per tenant (0 or 1 = single-threaded)")
 	maxTenants := fs.Int("max-tenants", 0, "tenant cap (0 = default)")
 	segmentBytes := fs.Int64("segment-bytes", 0, "journal segment rotation threshold in bytes (0 = default 4MiB)")
@@ -78,7 +77,6 @@ func run(args []string, out, errw io.Writer, sig <-chan os.Signal) int {
 		RatePerSec:    *rate,
 		Burst:         *burst,
 		SnapshotEvery: *snapEvery,
-		ConvergeSlice: *slice,
 		Shards:        *shards,
 		MaxTenants:    *maxTenants,
 		SegmentBytes:  *segmentBytes,

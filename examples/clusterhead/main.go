@@ -31,11 +31,9 @@ func main() {
 	fmt.Printf("unit-disk network: %v\n", g)
 
 	p := selfstab.NewClustering()
-	states := make([]selfstab.ClusterState, *n)
-	for v := range states {
-		states[v] = p.Random(selfstab.NodeID(v), g.Neighbors(selfstab.NodeID(v)), rng)
-	}
-	net := selfstab.NewFaultLockstep[selfstab.ClusterState](p, selfstab.Config[selfstab.ClusterState]{G: g, States: states})
+	start := selfstab.Config[selfstab.ClusterState]{G: g, States: make([]selfstab.ClusterState, *n)}
+	selfstab.RandomizeConfig(start, p, rng)
+	net := selfstab.NewFaultLockstep(p, start)
 	defer net.Close()
 
 	for epoch := 0; epoch < *rounds; epoch++ {

@@ -68,10 +68,7 @@ func Search[S comparable](p core.Protocol[S], g *graph.Graph, opt Options, rng *
 	best := Result{Rounds: -1}
 	cur := make([]S, g.N())
 	for restart := 0; restart < opt.Restarts; restart++ {
-		for v := range cur {
-			id := graph.NodeID(v)
-			cur[v] = p.Random(id, g.Neighbors(id), rng)
-		}
+		core.Config[S]{G: g, States: cur}.Randomize(p, rng)
 		curRounds, stable := evaluate(cur)
 		best.Evaluations++
 		if !stable {

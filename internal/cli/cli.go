@@ -224,21 +224,12 @@ func pointerProtocol(name string) core.Protocol[core.Pointer] {
 	return nil
 }
 
-func randomStates[S comparable](p core.Protocol[S], g *graph.Graph, seed int64) []S {
-	srng := rand.New(rand.NewSource(seed))
-	states := make([]S, g.N())
-	for v := range states {
-		states[v] = p.Random(graph.NodeID(v), g.Neighbors(graph.NodeID(v)), srng)
-	}
-	return states
-}
-
 func runPointerTrial(g *graph.Graph, opt TrialOptions, limit int, rng *rand.Rand) (string, error) {
 	p := pointerProtocol(opt.Protocol)
-	states := randomStates[core.Pointer](p, g, opt.Seed)
+	cfg := core.NewConfig[core.Pointer](g)
+	cfg.Randomize(p, rand.New(rand.NewSource(opt.Seed)))
 	switch opt.Executor {
 	case "lockstep":
-		cfg := core.Config[core.Pointer]{G: g, States: states}
 		l := sim.NewLockstep[core.Pointer](p, cfg)
 		var tr *trace.Trace
 		if opt.Trace != nil {
@@ -276,12 +267,11 @@ func runPointerTrial(g *graph.Graph, opt TrialOptions, limit int, rng *rand.Rand
 		prm := beacon.DefaultParams()
 		prm.Jitter = opt.Jitter
 		prm.Loss = opt.Loss
-		net := beacon.NewNetwork[core.Pointer](p, g.Clone(), states, prm, rng)
+		net := beacon.NewNetwork[core.Pointer](p, g.Clone(), cfg.States, prm, rng)
 		res := net.Run(float64(4*limit), 6)
 		return fmt.Sprintf("seed %d: %v, matching %d", opt.Seed, res,
 			len(core.MatchingOf(net.Config()))), nil
 	case "stale":
-		cfg := core.Config[core.Pointer]{G: g, States: states}
 		l := sim.NewStaleLockstep[core.Pointer](p, cfg, opt.MaxLag, rng)
 		res := l.Run(50 * (opt.MaxLag + 1) * limit)
 		return fmt.Sprintf("seed %d (lag %d): %v, matching %d",
@@ -292,10 +282,10 @@ func runPointerTrial(g *graph.Graph, opt TrialOptions, limit int, rng *rand.Rand
 
 func runSMITrial(g *graph.Graph, opt TrialOptions, limit int, rng *rand.Rand) (string, error) {
 	p := core.NewSMI()
-	states := randomStates[bool](p, g, opt.Seed)
+	cfg := core.NewConfig[bool](g)
+	cfg.Randomize(p, rand.New(rand.NewSource(opt.Seed)))
 	switch opt.Executor {
 	case "lockstep":
-		cfg := core.Config[bool]{G: g, States: states}
 		l := sim.NewLockstep[bool](p, cfg)
 		var tr *trace.Trace
 		if opt.Trace != nil {
@@ -332,11 +322,10 @@ func runSMITrial(g *graph.Graph, opt TrialOptions, limit int, rng *rand.Rand) (s
 		prm := beacon.DefaultParams()
 		prm.Jitter = opt.Jitter
 		prm.Loss = opt.Loss
-		net := beacon.NewNetwork[bool](p, g.Clone(), states, prm, rng)
+		net := beacon.NewNetwork[bool](p, g.Clone(), cfg.States, prm, rng)
 		res := net.Run(float64(4*limit), 6)
 		return fmt.Sprintf("seed %d: %v, |S|=%d", opt.Seed, res, len(core.SetOf(net.Config()))), nil
 	case "stale":
-		cfg := core.Config[bool]{G: g, States: states}
 		l := sim.NewStaleLockstep[bool](p, cfg, opt.MaxLag, rng)
 		res := l.Run(50 * (opt.MaxLag + 1) * limit)
 		return fmt.Sprintf("seed %d (lag %d): %v, |S|=%d",

@@ -270,7 +270,7 @@ func TestConfigHelpers(t *testing.T) {
 	}
 	ids := cfg.PrivilegedNodes(NewSMM())
 	for _, id := range ids {
-		if !cfg.Privileged(NewSMM(), id) {
+		if _, moved := NewSMM().Move(cfg.View(id)); !moved {
 			t.Fatalf("PrivilegedNodes returned unprivileged %d", id)
 		}
 	}

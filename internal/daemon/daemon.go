@@ -9,6 +9,7 @@ package daemon
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"selfstab/internal/core"
@@ -83,50 +84,40 @@ func (c *Central[S]) Select(cfg core.Config[S], p core.Protocol[S], privileged [
 	case PickMax:
 		return privileged[len(privileged)-1:]
 	case PickAdversarial:
-		best := privileged[:1]
-		bestCount := -1
-		for i := range privileged {
-			trial := cfg.Clone()
-			next, _ := p.Move(trial.View(privileged[i]))
-			trial.States[privileged[i]] = next
-			count := len(trial.PrivilegedNodes(p))
-			if count > bestCount {
-				bestCount = count
-				best = privileged[i : i+1]
+		// A move changes privilege only in the mover's closed
+		// neighborhood, the only nodes whose views read its state, so the
+		// node whose move leaves the most privileged nodes is the one
+		// whose move gains the most there. Each candidate's move is
+		// applied in place, counted and undone.
+		peer := func(j graph.NodeID) S { return cfg.States[j] }
+		move := func(v graph.NodeID) (S, bool) {
+			return p.Move(core.View[S]{ID: v, Self: cfg.States[v], Nbrs: cfg.G.Neighbors(v), Peer: peer})
+		}
+		privilegedAround := func(u graph.NodeID) int {
+			count := 0
+			if _, moved := move(u); moved {
+				count++
+			}
+			for _, v := range cfg.G.Neighbors(u) {
+				if _, moved := move(v); moved {
+					count++
+				}
+			}
+			return count
+		}
+		best, bestGain := privileged[:1], math.MinInt
+		for i, u := range privileged {
+			before, old := privilegedAround(u), cfg.States[u]
+			cfg.States[u], _ = move(u)
+			gain := privilegedAround(u) - before
+			cfg.States[u] = old
+			if gain > bestGain {
+				best, bestGain = privileged[i:i+1], gain
 			}
 		}
 		return best
 	}
 	panic(fmt.Sprintf("daemon: unknown strategy %v", c.Strategy))
-}
-
-// RoundRobin is the fair central daemon: it cycles through node IDs and
-// activates the next privileged node at or after its cursor, so every
-// continuously privileged node is activated within n steps — the
-// textbook fairness assumption.
-type RoundRobin[S comparable] struct {
-	cursor graph.NodeID
-}
-
-// NewRoundRobin returns a fair round-robin central daemon.
-func NewRoundRobin[S comparable]() *RoundRobin[S] { return &RoundRobin[S]{} }
-
-// Name implements Scheduler.
-func (*RoundRobin[S]) Name() string { return "central-roundrobin" }
-
-// Select implements Scheduler.
-func (r *RoundRobin[S]) Select(cfg core.Config[S], _ core.Protocol[S], privileged []graph.NodeID) []graph.NodeID {
-	n := graph.NodeID(cfg.G.N())
-	// First privileged node at or after the cursor, wrapping around.
-	pick := privileged[0]
-	for _, v := range privileged {
-		if v >= r.cursor {
-			pick = v
-			break
-		}
-	}
-	r.cursor = (pick + 1) % n
-	return []graph.NodeID{pick}
 }
 
 // Distributed is the distributed daemon: every privileged node is
@@ -159,18 +150,6 @@ func (d *Distributed[S]) Select(_ core.Config[S], _ core.Protocol[S], privileged
 		chosen = append(chosen, privileged[d.Rng.Intn(len(privileged))])
 	}
 	return chosen
-}
-
-// Synchronous activates every privileged node — the paper's model,
-// provided for uniform comparisons against the other daemons.
-type Synchronous[S comparable] struct{}
-
-// Name implements Scheduler.
-func (Synchronous[S]) Name() string { return "synchronous" }
-
-// Select implements Scheduler.
-func (Synchronous[S]) Select(_ core.Config[S], _ core.Protocol[S], privileged []graph.NodeID) []graph.NodeID {
-	return privileged
 }
 
 // Result summarizes a daemon-driven run.

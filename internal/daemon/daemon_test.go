@@ -2,10 +2,12 @@ package daemon
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"selfstab/internal/core"
 	"selfstab/internal/graph"
+	"selfstab/internal/protocols"
 	"selfstab/internal/verify"
 )
 
@@ -45,6 +47,50 @@ func TestCentralPickStrategies(t *testing.T) {
 	}
 }
 
+// TestAdversarialMatchesFullRecount pins PickAdversarial's choice to
+// its definition, evaluated the long way: apply each candidate's move to
+// a copy of the configuration, count every privileged node there, and
+// take the first candidate with the largest count. Select must also
+// leave the configuration as it found it.
+func TestAdversarialMatchesFullRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 40; trial++ {
+		g := graph.RandomConnected(4+rng.Intn(12), 0.3, rng)
+		adversarialAgrees(t, protocols.NewHsuHuang(), g, rng)
+		adversarialAgrees[core.Pointer](t, core.NewSMM(), g, rng)
+		adversarialAgrees[bool](t, core.NewSMI(), g, rng)
+	}
+}
+
+func adversarialAgrees[S comparable](t *testing.T, p core.Protocol[S], g *graph.Graph, rng *rand.Rand) {
+	t.Helper()
+	cfg := core.NewConfig[S](g)
+	cfg.Randomize(p, rng)
+	for step := 0; step < 3*g.N(); step++ {
+		privileged := cfg.PrivilegedNodes(p)
+		if len(privileged) == 0 {
+			return
+		}
+		want, wantCount := privileged[0], -1
+		for _, u := range privileged {
+			trial := cfg.Clone()
+			trial.States[u], _ = p.Move(trial.View(u))
+			if c := len(trial.PrivilegedNodes(p)); c > wantCount {
+				want, wantCount = u, c
+			}
+		}
+		before := slices.Clone(cfg.States)
+		got := NewCentral[S](PickAdversarial, nil).Select(cfg, p, privileged)
+		if len(got) != 1 || got[0] != want {
+			t.Fatalf("%s on %v: adversary picked %v, full recount picks %d", p.Name(), g, got, want)
+		}
+		if !slices.Equal(cfg.States, before) {
+			t.Fatalf("%s: Select changed the configuration", p.Name())
+		}
+		cfg.States[want], _ = p.Move(cfg.View(want))
+	}
+}
+
 func TestPickStrings(t *testing.T) {
 	wants := map[Pick]string{
 		PickRandom: "random", PickMin: "min", PickMax: "max", PickAdversarial: "adversarial",
@@ -52,51 +98,6 @@ func TestPickStrings(t *testing.T) {
 	for p, want := range wants {
 		if p.String() != want {
 			t.Errorf("%d.String() = %q, want %q", p, p.String(), want)
-		}
-	}
-}
-
-func TestRoundRobinFairness(t *testing.T) {
-	// On an all-null path every node is privileged; the round-robin
-	// daemon must cycle through them rather than starving anyone.
-	g := graph.Path(5)
-	p := core.NewSMM()
-	cfg := nullCfg(g)
-	rr := NewRoundRobin[core.Pointer]()
-	if rr.Name() != "central-roundrobin" {
-		t.Fatal(rr.Name())
-	}
-	privileged := cfg.PrivilegedNodes(p)
-	seen := map[graph.NodeID]bool{}
-	for i := 0; i < len(privileged); i++ {
-		got := rr.Select(cfg, p, privileged)
-		if len(got) != 1 {
-			t.Fatalf("selected %v", got)
-		}
-		if seen[got[0]] {
-			t.Fatalf("node %d activated twice before others ran", got[0])
-		}
-		seen[got[0]] = true
-	}
-	if len(seen) != len(privileged) {
-		t.Fatalf("only %d of %d nodes activated in one cycle", len(seen), len(privileged))
-	}
-}
-
-func TestRoundRobinRunnerConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 10; trial++ {
-		g := graph.RandomConnected(12, 0.25, rng)
-		p := core.NewSMM()
-		cfg := core.NewConfig[core.Pointer](g)
-		cfg.Randomize(p, rng)
-		r := NewRunner[core.Pointer](p, cfg, NewRoundRobin[core.Pointer]())
-		res := r.Run(20 * g.N() * g.N())
-		if !res.Stable {
-			t.Fatalf("trial %d: %v", trial, res)
-		}
-		if err := verify.IsMaximalMatching(g, core.MatchingOf(r.Config())); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
@@ -117,20 +118,6 @@ func TestDistributedSelectsNonemptySubset(t *testing.T) {
 	d1 := NewDistributed[core.Pointer](1.0, rng)
 	if got := d1.Select(cfg, p, privileged); len(got) != len(privileged) {
 		t.Fatalf("p=1 selected %d of %d", len(got), len(privileged))
-	}
-}
-
-func TestSynchronousSelectsAll(t *testing.T) {
-	g := graph.Path(8)
-	p := core.NewSMM()
-	cfg := nullCfg(g)
-	privileged := cfg.PrivilegedNodes(p)
-	var s Synchronous[core.Pointer]
-	if got := s.Select(cfg, p, privileged); len(got) != len(privileged) {
-		t.Fatalf("synchronous selected %d of %d", len(got), len(privileged))
-	}
-	if s.Name() != "synchronous" {
-		t.Fatal(s.Name())
 	}
 }
 
@@ -191,11 +178,12 @@ func TestRunnerStopsAtFixedPoint(t *testing.T) {
 }
 
 func TestRunnerHonorsStepLimit(t *testing.T) {
-	// Synchronous scheduler + the divergent successor policy on C4.
+	// A distributed daemon that activates every privileged node (the
+	// synchronous model) + the divergent successor policy on C4.
 	g := graph.Cycle(4)
 	p := core.NewSMMArbitrary()
 	cfg := nullCfg(g)
-	r := NewRunner[core.Pointer](p, cfg, Synchronous[core.Pointer]{})
+	r := NewRunner[core.Pointer](p, cfg, NewDistributed[core.Pointer](1.0, rand.New(rand.NewSource(1))))
 	res := r.Run(9)
 	if res.Stable || res.Steps != 9 {
 		t.Fatalf("res = %v", res)

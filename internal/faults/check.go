@@ -13,6 +13,24 @@ import (
 // when the paper's legitimacy predicates are meaningful.
 type Checker[S comparable] func(cfg core.Config[S]) error
 
+// Spec is one protocol's per-epoch claim: every epoch re-converges, from
+// whatever configuration its fault left, within Bound(n) rounds on n
+// nodes, to a configuration Check accepts. The fault monitor, the soak
+// campaigns, experiment E15 and the service all read the bound from
+// here.
+type Spec[S comparable] struct {
+	Check Checker[S]
+	Bound func(n int) int
+}
+
+var (
+	// SMM is Theorem 1's claim: n+1 rounds to a maximal matching.
+	SMM = Spec[core.Pointer]{Check: SMMChecker, Bound: func(n int) int { return n + 1 }}
+	// SMI is 2n+2 rounds to a maximal independent set: the paper's O(n)
+	// with the constant experiment E15 records.
+	SMI = Spec[bool]{Check: SMIChecker, Bound: func(n int) int { return 2*n + 2 }}
+)
+
 // SMMChecker verifies the SMM legitimacy predicate: every non-null
 // pointer targets a neighbor (checked first, because the type
 // classifier is only defined on valid configurations) and the mutually

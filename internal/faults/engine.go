@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -11,29 +10,6 @@ import (
 	"selfstab/internal/graph"
 	"selfstab/internal/mobility"
 )
-
-// Options tunes the recovery monitor.
-type Options struct {
-	// BoundFactor and BoundSlack define the re-convergence bound the
-	// monitor enforces per epoch:
-	//
-	//	bound = ceil(BoundFactor·n) + BoundSlack + DetectionLag + event duration
-	//
-	// The paper's Theorem 1 gives n+1 rounds for SMM, i.e. factor 1 and
-	// slack 1 (the defaults); SMI is O(n) with the constant recorded by
-	// experiment E15. DetectionLag and the event's own duration are added
-	// because the executor cannot even begin repairing until the fault's
-	// effects end and are detected.
-	BoundFactor float64
-	BoundSlack  int
-	// MaxRounds caps the whole run. 0 derives a generous default from
-	// the schedule horizon and the bound.
-	MaxRounds int
-	// Tail is how many extra rounds to observe after the final epoch
-	// converges, so closure violations out of the final fixed point are
-	// caught too (default 8).
-	Tail int
-}
 
 // Epoch is the monitor's verdict on one fault and the recovery that
 // followed it.
@@ -49,7 +25,10 @@ type Epoch struct {
 	// Rounds is the re-convergence time: rounds from injection to the
 	// last round with a move.
 	Rounds int `json:"rounds"`
-	// Bound is the enforced re-convergence bound for this epoch.
+	// Bound is the enforced re-convergence bound for this epoch: the
+	// protocol's Spec bound, plus the target's detection lag and the
+	// event's duration, because the executor cannot even begin
+	// repairing until the fault's effects end and are detected.
 	Bound int `json:"bound"`
 	// Converged reports whether a quiet plateau was reached before the
 	// next fault (or the round cap).
@@ -119,11 +98,10 @@ func (r Report) String() string {
 
 // engine is the per-run state of RunSchedule.
 type engine[S comparable] struct {
-	p     core.Protocol[S]
-	t     Target[S]
-	check Checker[S]
-	opt   Options
-	seed  int64
+	p    core.Protocol[S]
+	t    Target[S]
+	spec Spec[S]
+	seed int64
 
 	report Report
 
@@ -166,35 +144,31 @@ type resurrection struct {
 	evIdx int
 }
 
+// tailRounds is how many rounds the monitor keeps observing after the
+// final epoch converges, so closure violations out of the final fixed
+// point are caught too.
+const tailRounds = 8
+
 // RunSchedule replays sched on target t and monitors every epoch for
-// closure, bounded re-convergence, legitimacy (via check), and
-// containment. The protocol p supplies the arbitrary states written by
-// Corrupt and Crash resurrection; their randomness comes from per-event
-// streams derived from sched.Seed, so the injection into a given event
-// is independent of every other event.
-func RunSchedule[S comparable](p core.Protocol[S], t Target[S], sched Schedule, check Checker[S], opt Options) Report {
-	if opt.BoundFactor <= 0 {
-		opt.BoundFactor = 1
-	}
-	if opt.BoundSlack <= 0 {
-		opt.BoundSlack = 1
-	}
+// closure, re-convergence within spec's bound, legitimacy (via spec's
+// checker), and containment. The protocol p supplies the arbitrary
+// states written by Corrupt and Crash resurrection; their randomness
+// comes from per-event streams derived from sched.Seed, so the
+// injection into a given event is independent of every other event.
+// The run stops tailRounds after the last epoch closes, or at a round
+// cap derived from the schedule's horizon and the bound.
+func RunSchedule[S comparable](p core.Protocol[S], t Target[S], sched Schedule, spec Spec[S]) Report {
 	events := append([]Event(nil), sched.Events...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Round < events[j].Round })
 	n := t.Topology().N()
-	if opt.MaxRounds <= 0 {
-		last := 0
-		durs := 0
-		for _, ev := range events {
-			if ev.Round > last {
-				last = ev.Round
-			}
-			durs += ev.Dur
-		}
-		opt.MaxRounds = last + durs + (len(events)+2)*(boundBase(opt, n)+t.DetectionLag()+2) + 16
+	last, durs := 0, 0
+	for _, ev := range events {
+		last = max(last, ev.Round)
+		durs += ev.Dur
 	}
+	maxRounds := last + durs + (len(events)+2)*(spec.Bound(n)+t.DetectionLag()+2) + 16
 	e := &engine[S]{
-		p: p, t: t, check: check, opt: opt, seed: sched.Seed,
+		p: p, t: t, spec: spec, seed: sched.Seed,
 		report: Report{Model: t.Model(), Protocol: p.Name(), N: n},
 		cutBy:  make(map[graph.Edge]int),
 		down:   make(map[graph.NodeID]bool),
@@ -210,11 +184,8 @@ func RunSchedule[S comparable](p core.Protocol[S], t Target[S], sched Schedule, 
 	if quiet < 1 {
 		quiet = 1
 	}
-	if opt.Tail <= 0 {
-		opt.Tail = 8
-	}
 	evIdx := 0
-	tail := -1
+	tail := tailRounds
 	for {
 		// Inject everything due this round: crash recoveries first (they
 		// restore preconditions later events may rely on), then the
@@ -229,20 +200,17 @@ func RunSchedule[S comparable](p core.Protocol[S], t Target[S], sched Schedule, 
 			evIdx++
 		}
 		if evIdx == len(events) && len(e.resurrections) == 0 && e.cur == nil {
-			// All faults processed and the last epoch closed: keep
-			// observing for Tail rounds so late closure violations are
-			// still caught, then stop.
-			if tail < 0 {
-				tail = opt.Tail
-			}
+			// All faults processed and the last epoch closed, which no
+			// later round undoes: keep observing for tailRounds so late
+			// closure violations are still caught, then stop.
 			if tail == 0 {
 				break
 			}
 			tail--
 		}
-		if e.r >= opt.MaxRounds {
+		if e.r >= maxRounds {
 			if e.cur != nil {
-				e.fail("epoch %d (%s): no convergence within round cap %d", e.cur.Index, e.cur.Desc, opt.MaxRounds)
+				e.fail("epoch %d (%s): no convergence within round cap %d", e.cur.Index, e.cur.Desc, maxRounds)
 				e.closeEpoch(false)
 			}
 			break
@@ -271,10 +239,6 @@ func RunSchedule[S comparable](p core.Protocol[S], t Target[S], sched Schedule, 
 	}
 	e.report.Rounds = e.r
 	return e.report
-}
-
-func boundBase(opt Options, n int) int {
-	return int(math.Ceil(opt.BoundFactor*float64(n))) + opt.BoundSlack
 }
 
 func (e *engine[S]) fail(format string, args ...any) {
@@ -310,7 +274,7 @@ func (e *engine[S]) openEpoch(ev Event, round, radius int) {
 		Kind:   ev.Kind,
 		Desc:   desc,
 		Round:  round,
-		Bound:  boundBase(e.opt, e.report.N) + e.t.DetectionLag() + ev.Dur,
+		Bound:  e.spec.Bound(e.report.N) + e.t.DetectionLag() + ev.Dur,
 		Radius: radius,
 	}
 	e.lastActive = e.r
@@ -334,7 +298,7 @@ func (e *engine[S]) closeEpoch(converged bool) {
 		if !ep.WithinBound {
 			e.fail("epoch %d (%s): re-convergence took %d rounds, bound %d", ep.Index, ep.Desc, ep.Rounds, ep.Bound)
 		}
-		err := e.check(e.t.Config())
+		err := e.spec.Check(e.t.Config())
 		ep.Legitimate = err == nil
 		if err != nil {
 			ep.CheckErr = err.Error()
@@ -379,7 +343,7 @@ func (e *engine[S]) applyEvent(ev Event, evIdx int) {
 	case Corrupt:
 		e.openEpoch(ev, ev.Round, len(ev.Nodes))
 		for i, v := range ev.Nodes {
-			rng := rand.New(rand.NewSource(deriveSeed(e.seed, "corrupt", evIdx, i)))
+			rng := rand.New(rand.NewSource(core.DeriveSeed(e.seed, []string{"corrupt"}, evIdx, i)))
 			e.t.WriteState(v, e.p.Random(v, e.t.Topology().Neighbors(v), rng))
 		}
 		e.bumpEffects(0)
@@ -467,7 +431,7 @@ func (e *engine[S]) applyResurrection(res resurrection) {
 			e.restoreLink(l)
 		}
 		delete(e.lost, v)
-		rng := rand.New(rand.NewSource(deriveSeed(e.seed, "resurrect", res.evIdx, i)))
+		rng := rand.New(rand.NewSource(core.DeriveSeed(e.seed, []string{"resurrect"}, res.evIdx, i)))
 		e.t.WriteState(v, e.p.Random(v, e.t.Topology().Neighbors(v), rng))
 	}
 	e.bumpEffects(0)
@@ -482,7 +446,7 @@ func (e *engine[S]) applyChurn(ev Event, evIdx int) {
 		e.note("r%d churn skipped: topology cut or disconnected", ev.Round)
 		return
 	}
-	rng := rand.New(rand.NewSource(deriveSeed(e.seed, "churn", evIdx, 0)))
+	rng := rand.New(rand.NewSource(core.DeriveSeed(e.seed, []string{"churn"}, evIdx, 0)))
 	clone := e.t.Topology().Clone()
 	churn := mobility.NewChurn(clone, rng)
 	changes := churn.Apply(ev.K)

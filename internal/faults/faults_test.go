@@ -1,10 +1,10 @@
 package faults_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"selfstab/internal/beacon"
@@ -75,12 +75,12 @@ func TestGenerateDeterministicAndSorted(t *testing.T) {
 
 func TestScheduleJSONRoundTrip(t *testing.T) {
 	s := faults.Generate(3, cycleGraph(6), faults.GenParams{Events: 8})
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	data, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
 	var got faults.Schedule
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(s, got) {
@@ -132,7 +132,7 @@ func TestOverlayPinTickUnpin(t *testing.T) {
 func TestZeroFaultClosure(t *testing.T) {
 	sched := faults.Schedule{Seed: 1}
 	for _, tc := range modelTargets(t, 1, legitPathSMM()) {
-		rep := faults.RunSchedule[core.Pointer](core.NewSMM(), tc.target, sched, faults.SMMChecker, faults.Options{})
+		rep := faults.RunSchedule[core.Pointer](core.NewSMM(), tc.target, sched, faults.SMM)
 		tc.target.Close()
 		if rep.Failed() {
 			t.Errorf("%s: %v", tc.name, rep.Failures)
@@ -175,9 +175,8 @@ func modelTargets(t *testing.T, seed int64, states []core.Pointer) []modelTarget
 // one generated schedule covering every fault kind replays on lockstep
 // (frontier and full-scan reference) and on beacon, and the recovery
 // monitor confirms every epoch — in particular every SMM epoch —
-// re-converges within the paper's bound (BoundFactor 1, BoundSlack 1 ⇒
-// n+1 rounds plus the model's detection lag and the fault's own
-// duration).
+// re-converges within the paper's bound (faults.SMM's n+1 rounds plus
+// the model's detection lag and the fault's own duration).
 func TestRecoveryAllModels(t *testing.T) {
 	const n = 8
 	states := make([]core.Pointer, n)
@@ -190,7 +189,7 @@ func TestRecoveryAllModels(t *testing.T) {
 	sched := faults.Generate(5, g, faults.GenParams{Events: 6, Start: n + 2, Gap: 3 * n})
 	var reports []faults.Report
 	for _, tc := range modelTargets(t, 2, states) {
-		rep := faults.RunSchedule[core.Pointer](core.NewSMM(), tc.target, sched, faults.SMMChecker, faults.Options{})
+		rep := faults.RunSchedule[core.Pointer](core.NewSMM(), tc.target, sched, faults.SMM)
 		tc.target.Close()
 		if rep.Failed() {
 			t.Errorf("%s: %v", tc.name, rep.Failures)
@@ -235,7 +234,7 @@ func TestRunScheduleDeterministic(t *testing.T) {
 		tgt := sim.NewFaultLockstep[core.Pointer](core.NewSMM(),
 			core.Config[core.Pointer]{G: pathGraph(n), States: append([]core.Pointer(nil), states...)})
 		defer tgt.Close()
-		return faults.RunSchedule[core.Pointer](core.NewSMM(), tgt, sched, faults.SMMChecker, faults.Options{})
+		return faults.RunSchedule[core.Pointer](core.NewSMM(), tgt, sched, faults.SMM)
 	}
 	a, b := runOnce(), runOnce()
 	if !reflect.DeepEqual(a, b) {
@@ -281,7 +280,7 @@ func TestShrinkBrokenProtocol(t *testing.T) {
 		tgt := sim.NewFaultLockstep[core.Pointer](&noRepairSMM{smm: core.NewSMM()},
 			core.Config[core.Pointer]{G: pathGraph(n), States: legitPathSMM()})
 		defer tgt.Close()
-		return faults.RunSchedule[core.Pointer](&noRepairSMM{smm: core.NewSMM()}, tgt, s, faults.SMMChecker, faults.Options{})
+		return faults.RunSchedule[core.Pointer](&noRepairSMM{smm: core.NewSMM()}, tgt, s, faults.SMM)
 	}
 	// Benign noise around the trigger: the partition cuts matched edge
 	// {1,2} (among others), which the broken protocol never repairs.
@@ -312,7 +311,7 @@ func TestShrinkBrokenProtocol(t *testing.T) {
 	tgt := sim.NewFaultLockstep[core.Pointer](core.NewSMM(),
 		core.Config[core.Pointer]{G: pathGraph(n), States: legitPathSMM()})
 	defer tgt.Close()
-	if rep := faults.RunSchedule[core.Pointer](core.NewSMM(), tgt, min, faults.SMMChecker, faults.Options{}); rep.Failed() {
+	if rep := faults.RunSchedule[core.Pointer](core.NewSMM(), tgt, min, faults.SMM); rep.Failed() {
 		t.Fatalf("healthy SMM fails the minimal repro: %v", rep.Failures)
 	}
 }
@@ -382,7 +381,8 @@ func TestMonitorClosureViolation(t *testing.T) {
 		// closes), then a burst at rounds 5-6 violating closure.
 		moves: []int{2, 1, 0, 0, 3, 1, 0, 0, 0, 0},
 	}
-	rep := faults.RunSchedule[bool](core.NewSMI(), tgt, faults.Schedule{Seed: 1}, okChecker, faults.Options{})
+	spec := faults.Spec[bool]{Check: okChecker, Bound: faults.SMI.Bound}
+	rep := faults.RunSchedule[bool](core.NewSMI(), tgt, faults.Schedule{Seed: 1}, spec)
 	if rep.ClosureViolations == 0 {
 		t.Fatalf("scripted closure violation not detected: %+v", rep)
 	}
@@ -391,20 +391,32 @@ func TestMonitorClosureViolation(t *testing.T) {
 	}
 }
 
-// TestMonitorBoundViolation scripts a run that keeps moving past the
-// bound: the monitor must flag the epoch.
+// TestMonitorBoundViolation scripts runs that keep moving past the
+// bound: the monitor must flag the epoch, both when it converges late
+// and when it never converges before the round cap.
 func TestMonitorBoundViolation(t *testing.T) {
 	okChecker := func(cfg core.Config[bool]) error { return nil }
-	n := 4
-	moves := make([]int, 4*n)
-	for i := range moves {
-		moves[i] = 1 // never quiet within bound n+1
-	}
-	tgt := &scriptTarget{g: cycleGraph(n), states: make([]bool, n), moves: moves}
-	rep := faults.RunSchedule[bool](core.NewSMI(), tgt, faults.Schedule{Seed: 1}, okChecker,
-		faults.Options{MaxRounds: 3 * n})
-	if !rep.Failed() {
-		t.Fatalf("bound violation not detected: %+v", rep)
+	spec := faults.Spec[bool]{Check: okChecker, Bound: faults.SMI.Bound}
+	const n = 4 // bound 2n+2 = 10; round cap 2·(10+2)+16 = 40
+	for _, tc := range []struct {
+		active int
+		want   []string
+	}{
+		{16, []string{"re-convergence took 16 rounds, bound 10"}},
+		{100, []string{"no convergence within round cap 40", "already 40 rounds past injection at interruption, bound 10"}},
+	} {
+		moves := make([]int, tc.active)
+		for i := range moves {
+			moves[i] = 1
+		}
+		tgt := &scriptTarget{g: cycleGraph(n), states: make([]bool, n), moves: moves}
+		rep := faults.RunSchedule[bool](core.NewSMI(), tgt, faults.Schedule{Seed: 1}, spec)
+		got := strings.Join(rep.Failures, "\n")
+		for _, w := range tc.want {
+			if !strings.Contains(got, w) {
+				t.Errorf("%d active rounds: failures %q lack %q", tc.active, got, w)
+			}
+		}
 	}
 }
 
@@ -423,12 +435,11 @@ func TestSMIRecoveryLockstep(t *testing.T) {
 	sched := faults.Generate(21, g, faults.GenParams{Events: 6, Start: n + 2, Gap: 3 * n})
 	tgt := sim.NewFaultLockstep[bool](core.NewSMI(), core.Config[bool]{G: g, States: states})
 	defer tgt.Close()
-	rep := faults.RunSchedule[bool](core.NewSMI(), tgt, sched, faults.SMIChecker,
-		faults.Options{BoundFactor: 2, BoundSlack: 2})
+	rep := faults.RunSchedule[bool](core.NewSMI(), tgt, sched, faults.SMI)
 	if rep.Failed() {
 		t.Fatalf("SMI campaign failed: %v", rep.Failures)
 	}
-	if rep.MaxEpochRounds() > 2*n+2 {
+	if rep.MaxEpochRounds() > faults.SMI.Bound(n) {
 		t.Fatalf("SMI re-convergence constant too large: %d rounds", rep.MaxEpochRounds())
 	}
 }

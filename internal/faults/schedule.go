@@ -21,10 +21,8 @@
 package faults
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 	"strings"
@@ -182,12 +180,8 @@ func (s Schedule) String() string {
 	return strings.Join(lines, "\n")
 }
 
-// WriteJSON serializes the schedule as indented JSON.
-func (s Schedule) WriteJSON(w interface{ Write([]byte) (int, error) }) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
+// maxDur bounds generated event durations in rounds.
+const maxDur = 4
 
 // GenParams scopes Generate.
 type GenParams struct {
@@ -195,8 +189,6 @@ type GenParams struct {
 	Events int
 	// MaxBurst bounds the nodes/links targeted per event (default 3).
 	MaxBurst int
-	// MaxDur bounds event durations in rounds (default 4).
-	MaxDur int
 	// Start offsets the first event: events begin after Start rounds,
 	// leaving the initial epoch room to converge (default 0).
 	Start int
@@ -214,9 +206,6 @@ type GenParams struct {
 func Generate(seed int64, g *graph.Graph, prm GenParams) Schedule {
 	if prm.MaxBurst <= 0 {
 		prm.MaxBurst = 3
-	}
-	if prm.MaxDur <= 0 {
-		prm.MaxDur = 4
 	}
 	if prm.Gap <= 0 {
 		prm.Gap = g.N() + 6
@@ -253,7 +242,7 @@ func Generate(seed int64, g *graph.Graph, prm GenParams) Schedule {
 		switch kind {
 		case Crash:
 			ev.Nodes = pickNodes(rng, n, 1+rng.Intn(prm.MaxBurst))
-			ev.Dur = 1 + rng.Intn(prm.MaxDur)
+			ev.Dur = 1 + rng.Intn(maxDur)
 		case Corrupt:
 			ev.Nodes = pickNodes(rng, n, 1+rng.Intn(prm.MaxBurst))
 		case Drop:
@@ -270,7 +259,7 @@ func Generate(seed int64, g *graph.Graph, prm GenParams) Schedule {
 			for _, i := range perm {
 				ev.Links = append(ev.Links, edges[i])
 			}
-			ev.Dur = 1 + rng.Intn(prm.MaxDur)
+			ev.Dur = 1 + rng.Intn(maxDur)
 		case Partition:
 			if n < 2 {
 				continue
@@ -281,7 +270,7 @@ func Generate(seed int64, g *graph.Graph, prm GenParams) Schedule {
 			partitioned = false
 		case Stale:
 			ev.Nodes = pickNodes(rng, n, 1+rng.Intn(prm.MaxBurst))
-			ev.Dur = 1 + rng.Intn(prm.MaxDur)
+			ev.Dur = 1 + rng.Intn(maxDur)
 		case Churn:
 			ev.K = 1 + rng.Intn(prm.MaxBurst)
 		default:
@@ -309,31 +298,4 @@ func pickNodes(rng *rand.Rand, n, k int) []graph.NodeID {
 		ids[i] = graph.NodeID(v)
 	}
 	return ids
-}
-
-// deriveSeed hashes the schedule seed with an event stream name and two
-// coordinates into an independent seed, mirroring the harness's
-// derived-seed discipline: every injection draws from its own stream, so
-// dropping one event during shrinking does not shift the randomness of
-// the events that remain.
-func deriveSeed(seed int64, stream string, a, b int) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(stream))
-	h.Write([]byte{0})
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(a)))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(b)))
-	h.Write(buf[:])
-	return int64(splitmix64(h.Sum64()))
-}
-
-// splitmix64 finalizes the hash with full avalanche.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

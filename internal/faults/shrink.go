@@ -59,20 +59,11 @@ func shrinkEvents(cur Schedule, try func(Schedule) bool) Schedule {
 // churn counts toward 1, node and link target lists toward a single
 // element.
 func shrinkFields(cur Schedule, try func(Schedule) bool) Schedule {
-	for i := 0; i < len(cur.Events); i++ {
-		ev := cur.Events[i]
-		if ev.Dur > 1 {
-			cur = shrinkInt(cur, i, try, func(e *Event) *int { return &e.Dur })
-		}
-		if ev.K > 1 {
-			cur = shrinkInt(cur, i, try, func(e *Event) *int { return &e.K })
-		}
-		if len(ev.Nodes) > 1 {
-			cur = shrinkNodes(cur, i, try)
-		}
-		if len(ev.Links) > 1 {
-			cur = shrinkLinks(cur, i, try)
-		}
+	for i := range cur.Events {
+		cur = shrinkInt(cur, i, try, func(e *Event) *int { return &e.Dur })
+		cur = shrinkInt(cur, i, try, func(e *Event) *int { return &e.K })
+		cur = shrinkList(cur, i, try, func(e *Event) *[]graph.NodeID { return &e.Nodes })
+		cur = shrinkList(cur, i, try, func(e *Event) *[]graph.Edge { return &e.Links })
 	}
 	return cur
 }
@@ -102,76 +93,25 @@ func shrinkInt(cur Schedule, i int, try func(Schedule) bool, field func(*Event) 
 	}
 }
 
-// shrinkNodes reduces an event's node list: try each half, then each
-// single node.
-func shrinkNodes(cur Schedule, i int, try func(Schedule) bool) Schedule {
-	replace := func(s Schedule, nodes []graph.NodeID) Schedule {
-		c := cloneSchedule(s)
-		c.Events[i].Nodes = nodes
-		return c
-	}
+// shrinkList reduces one list field of event i toward a single
+// element: it tries each half, then each single element, keeps the
+// first candidate that still fails and starts over, until none does.
+func shrinkList[T any](cur Schedule, i int, try func(Schedule) bool, field func(*Event) *[]T) Schedule {
 	for {
-		nodes := cur.Events[i].Nodes
-		if len(nodes) <= 1 {
+		list := *field(&cur.Events[i])
+		if len(list) <= 1 {
 			return cur
+		}
+		cands := [][]T{list[:len(list)/2], list[len(list)/2:]}
+		for j := range list {
+			cands = append(cands, list[j:j+1])
 		}
 		shrunk := false
-		half := len(nodes) / 2
-		for _, cand := range [][]graph.NodeID{nodes[:half], nodes[half:]} {
-			c := replace(cur, append([]graph.NodeID(nil), cand...))
+		for _, cand := range cands {
+			c := cloneSchedule(cur)
+			*field(&c.Events[i]) = append([]T(nil), cand...)
 			if try(c) {
-				cur = c
-				shrunk = true
-				break
-			}
-		}
-		if shrunk {
-			continue
-		}
-		for _, v := range nodes {
-			c := replace(cur, []graph.NodeID{v})
-			if try(c) {
-				cur = c
-				shrunk = true
-				break
-			}
-		}
-		if !shrunk {
-			return cur
-		}
-	}
-}
-
-// shrinkLinks reduces an event's link list the same way.
-func shrinkLinks(cur Schedule, i int, try func(Schedule) bool) Schedule {
-	replace := func(s Schedule, links []graph.Edge) Schedule {
-		c := cloneSchedule(s)
-		c.Events[i].Links = links
-		return c
-	}
-	for {
-		links := cur.Events[i].Links
-		if len(links) <= 1 {
-			return cur
-		}
-		shrunk := false
-		half := len(links) / 2
-		for _, cand := range [][]graph.Edge{links[:half], links[half:]} {
-			c := replace(cur, append([]graph.Edge(nil), cand...))
-			if try(c) {
-				cur = c
-				shrunk = true
-				break
-			}
-		}
-		if shrunk {
-			continue
-		}
-		for _, l := range links {
-			c := replace(cur, []graph.Edge{l})
-			if try(c) {
-				cur = c
-				shrunk = true
+				cur, shrunk = c, true
 				break
 			}
 		}

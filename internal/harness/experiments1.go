@@ -3,9 +3,11 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"selfstab/internal/core"
 	"selfstab/internal/graph"
+	"selfstab/internal/sim"
 	"selfstab/internal/stats"
 	"selfstab/internal/verify"
 )
@@ -81,7 +83,7 @@ func E2TypeCensus(opt Options) *Table {
 		cfg.Randomize(core.NewSMM(), rand.New(rand.NewSource(seed)))
 		before := core.ClassifySMM(cfg)
 		var c cell
-		l := newLockstepSMM(cfg)
+		l := sim.NewLockstep[core.Pointer](core.NewSMM(), cfg)
 		l.RunHook(n+2, func(_ int, cf core.Config[core.Pointer]) {
 			after := core.ClassifySMM(cf)
 			c.m.Record(before, after)
@@ -135,7 +137,7 @@ func E3MatchingGrowth(opt Options) *Table {
 	res, _ := trialGrid(opt, "E3", func(_ Topology, g *graph.Graph, n, _ int, seed int64) cell {
 		cfg := core.NewConfig[core.Pointer](g)
 		cfg.Randomize(core.NewSMM(), rand.New(rand.NewSource(seed)))
-		l := newLockstepSMM(cfg)
+		l := sim.NewLockstep[core.Pointer](core.NewSMM(), cfg)
 		var sizes []int
 		l.RunHook(n+2, func(_ int, cf core.Config[core.Pointer]) {
 			sizes = append(sizes, 2*len(core.MatchingOf(cf)))
@@ -197,17 +199,17 @@ func E4Counterexample(opt Options) *Table {
 	}
 	cases := []int{4, 8, 16}
 	for _, n := range cases {
-		g := cycleGraph(n)
+		g := graph.Cycle(n)
 		// Arbitrary proposals from the all-null state.
 		cfgA := core.NewConfig[core.Pointer](g)
 		for i := range cfgA.States {
 			cfgA.States[i] = core.Null
 		}
 		snap0 := append([]core.Pointer(nil), cfgA.States...)
-		lA := newLockstepVariant(cfgA, core.NewSMMArbitrary())
+		lA := sim.NewLockstep[core.Pointer](core.NewSMMArbitrary(), cfgA)
 		lA.Step()
 		lA.Step()
-		period2 := equalStates(cfgA.States, snap0)
+		period2 := slices.Equal(cfgA.States, snap0)
 		resA := lA.Run(limit - 2)
 		if resA.Stable || !period2 {
 			t.Passed = false
@@ -223,7 +225,7 @@ func E4Counterexample(opt Options) *Table {
 		for i := range cfgB.States {
 			cfgB.States[i] = core.Null
 		}
-		lB := newLockstepSMM(cfgB)
+		lB := sim.NewLockstep[core.Pointer](core.NewSMM(), cfgB)
 		resB := lB.Run(n + 2)
 		ok := resB.Stable && verify.IsMaximalMatching(g, core.MatchingOf(lB.Config())) == nil
 		if !ok {

@@ -340,19 +340,13 @@ func E9BeaconModel(opt Options) *Table {
 		n := sizes[ni]
 		g := graphs[si][ni]
 		setting := settings[si]
-		states := make([]core.Pointer, g.N())
-		srng := cellRand(opt.Seed, "E9", setting.name, n, trial)
-		for v := range states {
-			states[v] = core.NewSMM().Random(graph.NodeID(v), g.Neighbors(graph.NodeID(v)), srng)
-		}
-		cfg := core.NewConfig[core.Pointer](g)
-		copy(cfg.States, states)
-		l := sim.NewLockstep[core.Pointer](core.NewSMM(), cfg)
+		start := core.NewConfig[core.Pointer](g)
+		start.Randomize(core.NewSMM(), cellRand(opt.Seed, "E9", setting.name, n, trial))
+		l := sim.NewLockstep[core.Pointer](core.NewSMM(), start.Clone())
 		lres := l.Run(n + 2)
 
 		nrng := cellRand(opt.Seed, "E9", setting.name+"/net", n, trial)
-		net := beacon.NewNetwork[core.Pointer](core.NewSMM(), g.Clone(),
-			append([]core.Pointer(nil), states...), setting.prm, nrng)
+		net := beacon.NewNetwork[core.Pointer](core.NewSMM(), g.Clone(), start.States, setting.prm, nrng)
 		bres := net.Run(float64(50*n), 6)
 		return cell{
 			lockRounds: float64(lres.Rounds),

@@ -57,11 +57,9 @@ func E15FaultRecovery(opt Options) *Table {
 		var rep faults.Report
 		switch proto {
 		case "SMM":
-			rep = e15Run[core.Pointer](core.NewSMM(), faults.SMMChecker, g, stateSeed, sched,
-				faults.Options{BoundFactor: 1, BoundSlack: 1})
+			rep = e15Run(core.NewSMM(), faults.SMM, g, stateSeed, sched)
 		case "SMI":
-			rep = e15Run[bool](core.NewSMI(), faults.SMIChecker, g, stateSeed, sched,
-				faults.Options{BoundFactor: 2, BoundSlack: 2})
+			rep = e15Run(core.NewSMI(), faults.SMI, g, stateSeed, sched)
 		}
 		c := cell{ok: !rep.Failed(), viol: rep.ClosureViolations}
 		for _, ep := range rep.Epochs {
@@ -114,12 +112,12 @@ func E15FaultRecovery(opt Options) *Table {
 }
 
 // e15Run replays one generated schedule on a fresh lockstep target.
-func e15Run[S comparable](p core.Protocol[S], check faults.Checker[S],
-	g *graph.Graph, stateSeed int64, sched faults.Schedule, mopt faults.Options) faults.Report {
+func e15Run[S comparable](p core.Protocol[S], spec faults.Spec[S],
+	g *graph.Graph, stateSeed int64, sched faults.Schedule) faults.Report {
 
 	cfg := core.NewConfig[S](g.Clone())
 	cfg.Randomize(p, rand.New(rand.NewSource(stateSeed)))
 	tgt := sim.NewFaultLockstep(p, cfg)
 	defer tgt.Close()
-	return faults.RunSchedule(p, tgt, sched, check, mopt)
+	return faults.RunSchedule(p, tgt, sched, spec)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -252,7 +253,7 @@ func TestDerivedSeedsDistinct(t *testing.T) {
 	a := randomize("E1", "path", 8, 0)
 	b := randomize("E1", "path", 16, 0)
 	c := randomize("E1", "cycle", 8, 0)
-	if equalStates(a, b) || equalStates(a, c) {
+	if slices.Equal(a, b) || slices.Equal(a, c) {
 		t.Fatal("cells with the same trial index drew identical initial states")
 	}
 }

@@ -1,12 +1,6 @@
 package harness
 
-import (
-	"strconv"
-
-	"selfstab/internal/core"
-	"selfstab/internal/graph"
-	"selfstab/internal/sim"
-)
+import "strconv"
 
 func itoa(n int) string { return strconv.Itoa(n) }
 
@@ -15,26 +9,4 @@ func boolMark(ok bool) string {
 		return "yes"
 	}
 	return "NO"
-}
-
-func cycleGraph(n int) *graph.Graph { return graph.Cycle(n) }
-
-func newLockstepSMM(cfg core.Config[core.Pointer]) *sim.Lockstep[core.Pointer] {
-	return sim.NewLockstep[core.Pointer](core.NewSMM(), cfg)
-}
-
-func newLockstepVariant(cfg core.Config[core.Pointer], v *core.SMM) *sim.Lockstep[core.Pointer] {
-	return sim.NewLockstep[core.Pointer](v, cfg)
-}
-
-func equalStates(a, b []core.Pointer) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,13 +1,12 @@
 package harness
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"selfstab/internal/core"
 	"selfstab/internal/graph"
 )
 
@@ -20,28 +19,7 @@ import (
 // reused in every (topology, n) cell. Negative trial values name
 // auxiliary streams (graph generation, permutations, churn).
 func DeriveSeed(seed int64, expID, stream string, n, trial int) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(expID))
-	h.Write([]byte{0})
-	h.Write([]byte(stream))
-	h.Write([]byte{0})
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(n)))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(trial)))
-	h.Write(buf[:])
-	return int64(splitmix64(h.Sum64()))
-}
-
-// splitmix64 finalizes the FNV hash with full avalanche so seeds of
-// neighboring cells differ in about half their bits.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return core.DeriveSeed(seed, []string{expID, stream}, n, trial)
 }
 
 // cellRand is shorthand for a generator seeded by DeriveSeed.

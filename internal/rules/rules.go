@@ -80,16 +80,6 @@ func (e *Engine[S]) Firings() map[string]int64 {
 	return out
 }
 
-// ResetFirings zeroes the counters.
-func (e *Engine[S]) ResetFirings() {
-	for i := range e.firings {
-		e.firings[i].Store(0)
-	}
-}
-
-// Rules exposes the rule list (for documentation tooling).
-func (e *Engine[S]) Rules() []Rule[S] { return e.rules }
-
 // String renders the rule system like the paper's figures.
 func (e *Engine[S]) String() string {
 	s := "Algorithm " + e.name + ":\n"

@@ -34,7 +34,6 @@ func benchMutations(b *testing.B, depth int) {
 	meta := tenantMeta{ID: "bench", Protocol: ProtocolSMM, N: n, Seed: 1, Edges: edges}
 	tn, err := newTenant(context.Background(), b.TempDir(), meta, tenantOptions{
 		queueDepth: depth,
-		slice:      64,
 		snapEvery:  -1,
 		segBytes:   64 << 20,
 		now:        time.Now,
@@ -121,7 +120,6 @@ func benchCheckpoint(b *testing.B, protocol string) {
 	meta := tenantMeta{ID: "ckpt", Protocol: protocol, N: n, Seed: 1, Edges: edges}
 	tn, err := newTenant(context.Background(), b.TempDir(), meta, tenantOptions{
 		queueDepth: 1,
-		slice:      64,
 		snapEvery:  1,
 		now:        time.Now,
 	})

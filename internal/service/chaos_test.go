@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"selfstab/internal/core"
 	"selfstab/internal/faults"
 	"selfstab/internal/graph"
 	"selfstab/internal/mobility"
@@ -294,7 +295,7 @@ func applyChaosEvent(t *testing.T, cc *chaosClient, mirror *graph.Graph, ev faul
 		// Connectivity-preserving link churn, drawn deterministically
 		// from the schedule seed and applied to the mirror first, then
 		// echoed to every tenant.
-		rng := rand.New(rand.NewSource(deriveSeed(seed, "chaos-churn", idx)))
+		rng := rand.New(rand.NewSource(core.DeriveSeed(seed, []string{"chaos-churn"}, idx)))
 		events := mobility.NewChurn(mirror, rng).Apply(ev.K)
 		for id := range tenants {
 			for j, me := range events {

@@ -269,7 +269,7 @@ func TestViewBodiesEdgeCases(t *testing.T) {
 				defer eng.close()
 				for _, stage := range []string{"clean", "converged"} {
 					if stage == "converged" {
-						if _, _, stable, err := eng.converge(context.Background(), protocolBound(proto, 6)+1); err != nil || !stable {
+						if _, _, stable, err := eng.converge(context.Background(), eng.bound()+1); err != nil || !stable {
 							t.Fatalf("converge: stable %v, err %v", stable, err)
 						}
 					}
@@ -500,7 +500,7 @@ func FuzzCheckpointDrift(f *testing.F) {
 			}
 		}
 		meta := tenantMeta{ID: "drift", Protocol: proto, N: n, Seed: seed, Edges: metaEdges}
-		opts := tenantOptions{slice: 64, snapEvery: 3, now: time.Now}
+		opts := tenantOptions{snapEvery: 3, now: time.Now}
 		dir := t.TempDir()
 		ctx, kill := context.WithCancel(context.Background())
 		defer kill()

@@ -3,10 +3,8 @@ package service
 import (
 	"cmp"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -44,6 +42,9 @@ type tenantEngine interface {
 	// n returns the node count, m the live edge count.
 	n() int
 	m() int
+	// bound returns the per-epoch round bound the service enforces: the
+	// protocol's faults.Spec bound at n.
+	bound() int
 	// setLink makes edge e present or absent, with dangling-reference
 	// repair on removal, and dirties exactly the affected neighborhoods.
 	// Every topology edit goes through it, so it also keeps the drift
@@ -106,6 +107,7 @@ type engine[S comparable] struct {
 	info func(core.Config[S], graph.NodeID) NodeInfo
 	mem  func([]byte, []S) []byte
 	chk  *faults.LocalChecker[S]
+	spec faults.Spec[S]
 	// width bounds the bytes one encoded state and its comma take.
 	width int
 	// fullChecks counts the checks that scanned the whole configuration.
@@ -118,6 +120,7 @@ type engine[S comparable] struct {
 func (e *engine[S]) protocol() string { return e.name }
 func (e *engine[S]) n() int           { return e.cfg.G.N() }
 func (e *engine[S]) m() int           { return e.cfg.G.M() }
+func (e *engine[S]) bound() int       { return e.spec.Bound(e.n()) }
 
 func (e *engine[S]) setLink(ed graph.Edge, present bool) {
 	before := e.cfg.G.Version()
@@ -153,7 +156,7 @@ func compareEdges(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cm
 
 func (e *engine[S]) corrupt(nodes []graph.NodeID, seed int64) {
 	for i, v := range nodes {
-		rng := rand.New(rand.NewSource(deriveSeed(seed, "corrupt", i)))
+		rng := rand.New(rand.NewSource(core.DeriveSeed(seed, []string{"corrupt"}, i)))
 		e.fl.WriteState(v, e.p.Random(v, e.cfg.G.Neighbors(v), rng))
 	}
 }
@@ -254,6 +257,7 @@ func newEngine(protocol string, n int, edges [][2]int, shards int) (tenantEngine
 			info:    smmNodeInfo,
 			mem:     smmMembership,
 			chk:     faults.NewSMMLocalChecker(),
+			spec:    faults.SMM,
 			width:   idLen(n) + 1,
 			flipped: map[graph.Edge]struct{}{},
 		}, nil
@@ -269,27 +273,12 @@ func newEngine(protocol string, n int, edges [][2]int, shards int) (tenantEngine
 			info:    smiNodeInfo,
 			mem:     smiMembership,
 			chk:     faults.NewSMILocalChecker(),
+			spec:    faults.SMI,
 			width:   len("false,"),
 			flipped: map[graph.Edge]struct{}{},
 		}, nil
 	default: // unknown protocols are rejected at tenant creation
 		return nil, fmt.Errorf("unknown protocol %q (want %q or %q)", protocol, ProtocolSMM, ProtocolSMI)
-	}
-}
-
-// protocolBound returns the convergence budget the service enforces per
-// mutation epoch: the paper's stabilization bounds from an arbitrary
-// configuration — Theorem 1's n+1 rounds for SMM and the 2n+2 rounds
-// experiment E15 records for SMI (factor 2, slack 2, as the soak
-// campaigns pin).
-func protocolBound(protocol string, n int) int {
-	switch protocol {
-	case ProtocolSMM:
-		return n + 1
-	case ProtocolSMI:
-		return 2*n + 2
-	default: // creation validates the protocol name; unreachable for live tenants
-		return 2*n + 2
 	}
 }
 
@@ -443,26 +432,4 @@ func smiMembership(b []byte, st []bool) []byte {
 		b = strconv.AppendInt(b, int64(v), 10)
 	}
 	return append(b, "]}"...)
-}
-
-// deriveSeed hashes a tenant seed with a stream name and an index into
-// an independent seed, mirroring the fault engine's derived-seed
-// discipline: every corruption draws from its own stream, so replaying
-// a journal suffix reproduces exactly the states an uninterrupted run
-// wrote.
-func deriveSeed(seed int64, stream string, i int) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(stream))
-	h.Write([]byte{0})
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(i)))
-	h.Write(buf[:])
-	x := h.Sum64()
-	// splitmix64 finalizer for full avalanche.
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return int64(x ^ (x >> 31))
 }

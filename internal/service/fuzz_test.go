@@ -128,9 +128,7 @@ func FuzzJournalRecover(f *testing.F) {
 		}
 
 		recoverDir := func(dir string) (SnapshotView, error) {
-			// slice must be positive: runEpoch converges in slice-sized
-			// chunks and a zero slice makes no progress.
-			tn, err := newTenant(context.Background(), dir, meta, tenantOptions{slice: 64, now: time.Now})
+			tn, err := newTenant(context.Background(), dir, meta, tenantOptions{now: time.Now})
 			if err != nil {
 				return SnapshotView{}, err
 			}

@@ -147,10 +147,44 @@ func (s *Service) handleNode(w http.ResponseWriter, r *http.Request, t *tenant) 
 	writeJSON(w, http.StatusOK, ni)
 }
 
+// maxKeyLen bounds an idempotency key in bytes: a key is journaled,
+// held in the dedup window and written into every checkpoint.
+const maxKeyLen = 256
+
+// decodeRequest decodes a mutation or converge body for a tenant of n
+// nodes into v, and refuses what the tenant should not hold: a body
+// past requestLimit(n) with 413, and a key past maxKeyLen with 400. The
+// limits live here, not in validateMutation, because replay
+// re-validates journaled entries, and journals an earlier binary
+// accepted must still reopen.
+func decodeRequest(w http.ResponseWriter, r *http.Request, n int, v any, key *string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, requestLimit(n))).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooLarge.Limit))
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
+	case len(*key) > maxKeyLen:
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("key of %d bytes exceeds %d", len(*key), maxKeyLen))
+	default:
+		return true
+	}
+	return false
+}
+
+// requestLimit bounds a mutation or converge body for a tenant of n
+// nodes: n node IDs with a separator and whitespace each, a key of
+// maxKeyLen bytes written as \u escapes, and 4 KiB for the other fields.
+func requestLimit(n int) int64 { return int64(n*(idLen(n)+8) + 6*maxKeyLen + 4096) }
+
 func (s *Service) handleMutation(w http.ResponseWriter, r *http.Request, t *tenant) {
 	var m Mutation
-	if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
+	if !decodeRequest(w, r, t.n, &m, &m.Key) {
+		return
+	}
+	if len(m.Nodes) > t.n {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("%s lists %d nodes, more than the tenant's %d", m.Op, len(m.Nodes), t.n))
 		return
 	}
 	// Client-supplied bookkeeping fields are server-owned.
@@ -168,8 +202,7 @@ func (s *Service) handleMutation(w http.ResponseWriter, r *http.Request, t *tena
 
 func (s *Service) handleConverge(w http.ResponseWriter, r *http.Request, t *tenant) {
 	var req convergeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
+	if !decodeRequest(w, r, t.n, &req, &req.Key) {
 		return
 	}
 	if req.Rounds <= 0 || req.Rounds > t.bound+1 {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -137,6 +138,43 @@ func TestMutationValidation(t *testing.T) {
 	doJSON(t, h, "GET", "/v1/tenants/v", nil, &st)
 	if st.Seq != 0 {
 		t.Fatalf("failed mutations advanced seq to %d", st.Seq)
+	}
+}
+
+// TestRequestLimits pins what one mutation or converge request may make
+// a tenant hold: a body past the tenant's size limit is 413, a key past
+// maxKeyLen bytes or a node list longer than n is 400, and none of them
+// consumes a seq. Requests at the limits still go through.
+func TestRequestLimits(t *testing.T) {
+	svc := newTestService(t, Options{})
+	h := svc.Handler()
+	const n = 8
+	pathTenant(t, h, "lim", ProtocolSMM, n)
+	key := func(size int) string { return strings.Repeat("k", size) }
+	nodes := func(k int) string { return strings.TrimSuffix(strings.Repeat("3,", k), ",") }
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"1 MiB key", "mutations", `{"op":"add_edge","u":0,"v":2,"key":"` + key(1<<20) + `"}`, http.StatusRequestEntityTooLarge},
+		{"key past maxKeyLen", "mutations", `{"op":"add_edge","u":0,"v":2,"key":"` + key(maxKeyLen+1) + `"}`, http.StatusBadRequest},
+		{"n+1 corrupt nodes", "mutations", `{"op":"corrupt","nodes":[` + nodes(n+1) + `]}`, http.StatusBadRequest},
+		{"1 MiB of whitespace", "mutations", `{"op":"add_edge","u":0,"v":2` + strings.Repeat(" ", 1<<20) + `}`, http.StatusRequestEntityTooLarge},
+		{"converge 1 MiB key", "converge", `{"key":"` + key(1<<20) + `"}`, http.StatusRequestEntityTooLarge},
+		{"converge key past maxKeyLen", "converge", `{"key":"` + key(maxKeyLen+1) + `"}`, http.StatusBadRequest},
+		{"key at maxKeyLen", "mutations", `{"op":"add_edge","u":0,"v":2,"key":"` + key(maxKeyLen) + `"}`, http.StatusOK},
+		{"n corrupt nodes", "mutations", `{"op":"corrupt","nodes":[` + nodes(n) + `]}`, http.StatusOK},
+	}
+	for _, tc := range cases {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/tenants/lim/"+tc.path, strings.NewReader(tc.body)))
+		if w.Code != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, w.Code, strings.TrimSpace(w.Body.String()), tc.want)
+		}
+	}
+	var st TenantStatus
+	if doJSON(t, h, "GET", "/v1/tenants/lim", nil, &st); st.Seq != 2 {
+		t.Fatalf("seq %d after two accepted requests", st.Seq)
 	}
 }
 

@@ -218,7 +218,6 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	meta := tenantMeta{ID: "batch", Protocol: ProtocolSMM, N: 8, Seed: 7}
 	tn, err := newTenant(context.Background(), dir, meta, tenantOptions{
 		queueDepth: burst + 4,
-		slice:      64,
 		now:        time.Now,
 	})
 	if err != nil {

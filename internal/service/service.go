@@ -30,9 +30,6 @@ type Options struct {
 	// (plus once on graceful shutdown). Default 32; negative disables
 	// periodic checkpoints.
 	SnapshotEvery int
-	// ConvergeSlice is the active-round granularity at which the event
-	// loop releases the tenant lock during convergence. Default 64.
-	ConvergeSlice int
 	// Shards is each tenant engine's shard count; values below 1 mean
 	// one shard, which never spawns worker goroutines.
 	Shards int
@@ -62,9 +59,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 32
-	}
-	if o.ConvergeSlice <= 0 {
-		o.ConvergeSlice = 64
 	}
 	if o.MaxTenants <= 0 {
 		o.MaxTenants = 256
@@ -205,7 +199,6 @@ func Open(opts Options) (*Service, error) {
 func (s *Service) startTenant(dir string, meta tenantMeta) (*tenant, error) {
 	t, err := newTenant(s.killCtx, dir, meta, tenantOptions{
 		queueDepth: s.opts.QueueDepth,
-		slice:      s.opts.ConvergeSlice,
 		snapEvery:  int64(s.opts.SnapshotEvery),
 		shards:     s.opts.Shards,
 		ratePerSec: s.opts.RatePerSec,

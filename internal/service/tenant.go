@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"selfstab/internal/core"
 	"selfstab/internal/graph"
 )
 
@@ -87,10 +88,12 @@ type SnapshotView struct {
 type tenant struct {
 	id string
 	// seed is meta.json's seed, from which corruption streams derive.
-	seed      int64
-	dir       string
+	seed int64
+	dir  string
+	// n is the node count and bound the per-epoch round bound, both
+	// fixed at creation.
+	n         int
 	bound     int
-	slice     int
 	snapEvery int64
 
 	limiter *tokenBucket
@@ -159,7 +162,6 @@ type tenant struct {
 
 type tenantOptions struct {
 	queueDepth int
-	slice      int
 	snapEvery  int64
 	shards     int
 	ratePerSec float64
@@ -192,8 +194,8 @@ func newTenant(svcCtx context.Context, dir string, meta tenantMeta, opts tenantO
 		id:        meta.ID,
 		seed:      meta.Seed,
 		dir:       dir,
-		bound:     protocolBound(meta.Protocol, meta.N),
-		slice:     opts.slice,
+		n:         meta.N,
+		bound:     eng.bound(),
 		snapEvery: opts.snapEvery,
 		limiter:   newTokenBucket(opts.ratePerSec, opts.burst, opts.now),
 		cmds:      make(chan *command, opts.queueDepth),
@@ -587,7 +589,7 @@ func (t *tenant) prepare(m *Mutation) (cmdResult, bool) {
 	if m.Op == OpCorrupt {
 		// Per-mutation corruption stream: a function of (tenant seed,
 		// seq), so replaying the journal redraws identical states.
-		m.Seed = deriveSeed(t.seed, "mutation", int(m.Seq))
+		m.Seed = core.DeriveSeed(t.seed, []string{"mutation"}, int(m.Seq))
 	}
 	if err := t.jr.append(*m); err != nil {
 		t.seq--
@@ -662,8 +664,13 @@ func (t *tenant) epochBudget(m Mutation) (budget int, counted bool) {
 	}
 }
 
-// runEpoch drives convergence in short slices, releasing the lock
-// between slices so reads stay responsive during long epochs. The
+// convergeSlice is how many active rounds an epoch runs per hold of the
+// tenant lock.
+const convergeSlice = 64
+
+// runEpoch drives convergence in slices of convergeSlice rounds,
+// releasing the lock between slices so reads stay responsive during
+// long epochs. The
 // sliced trajectory is pinned byte-identical to a one-shot run by
 // TestConvergeCtxChunkedMatchesOneShot in internal/sim. The only error
 // is the service's kill, checked between rounds and once more at the
@@ -671,7 +678,7 @@ func (t *tenant) epochBudget(m Mutation) (budget int, counted bool) {
 // checkpointed.
 func (t *tenant) runEpoch(budget int) (rounds, moves int, stable bool, err error) {
 	for rounds < budget && !stable {
-		sl := min(t.slice, budget-rounds)
+		sl := min(convergeSlice, budget-rounds)
 		t.mu.Lock()
 		r, mv, st, cerr := t.eng.converge(t.svcCtx, sl)
 		t.mu.Unlock()

@@ -11,8 +11,8 @@ import (
 )
 
 // spinner is a protocol that never stabilizes: every node is privileged
-// in every configuration. It is the worst case RunCtx exists for — a
-// Run over it with a large round budget never returns on its own.
+// in every configuration. It is the worst case cancellation exists for:
+// a run over it with a large round budget never returns on its own.
 type spinner struct{}
 
 func (spinner) Name() string { return "spinner" }
@@ -31,20 +31,20 @@ func spinnerConfig(n int) core.Config[int] {
 	return core.NewConfig[int](g)
 }
 
-func TestRunCtxCanceledBeforeStart(t *testing.T) {
+func TestConvergeCtxCanceledBeforeStart(t *testing.T) {
 	l := NewLockstep[int](spinner{}, spinnerConfig(8))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := l.RunCtx(ctx, 1<<30)
+	res, err := l.ConvergeCtx(ctx, 1<<30)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx err = %v, want context.Canceled", err)
+		t.Fatalf("ConvergeCtx err = %v, want context.Canceled", err)
 	}
 	if res.Rounds != 0 || res.Stable {
-		t.Fatalf("RunCtx on canceled ctx ran: %+v", res)
+		t.Fatalf("ConvergeCtx on canceled ctx ran: %+v", res)
 	}
 }
 
-func TestRunCtxStopsNonStabilizingRun(t *testing.T) {
+func TestConvergeCtxStopsNonStabilizingRun(t *testing.T) {
 	l := NewLockstep[int](spinner{}, spinnerConfig(8))
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -53,8 +53,8 @@ func TestRunCtxStopsNonStabilizingRun(t *testing.T) {
 		cancel()
 	}()
 	// Kick the canceller once the run is provably in flight: the hook
-	// fires after the first active round.
-	res, err := l.runLoop(ctx, 1<<30, true, true, func(round int, cfg core.Config[int]) {
+	// fires after the first active round. The flags are ConvergeCtx's.
+	res, err := l.runLoop(ctx, 1<<30, false, false, func(round int, cfg core.Config[int]) {
 		select {
 		case <-started:
 		default:
@@ -62,17 +62,17 @@ func TestRunCtxStopsNonStabilizingRun(t *testing.T) {
 		}
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx err = %v, want context.Canceled", err)
+		t.Fatalf("ConvergeCtx err = %v, want context.Canceled", err)
 	}
 	if res.Rounds < 1 {
-		t.Fatalf("RunCtx stopped before any round: %+v", res)
+		t.Fatalf("ConvergeCtx stopped before any round: %+v", res)
 	}
 	if res.Stable {
 		t.Fatalf("canceled run reported stable: %+v", res)
 	}
 }
 
-func TestRunCtxBackgroundMatchesRun(t *testing.T) {
+func TestConvergeCtxBackgroundMatchesRun(t *testing.T) {
 	g := graph.New(6)
 	for v := 1; v < 6; v++ {
 		g.AddEdge(graph.NodeID(v-1), graph.NodeID(v))
@@ -85,12 +85,12 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	a := NewLockstep(core.NewSMM(), cfgA)
 	b := NewLockstep(core.NewSMM(), cfgB)
 	ra := a.Run(100)
-	rb, err := b.RunCtx(context.Background(), 100)
+	rb, err := b.ConvergeCtx(context.Background(), 100)
 	if err != nil {
-		t.Fatalf("RunCtx: %v", err)
+		t.Fatalf("ConvergeCtx: %v", err)
 	}
 	if ra != rb {
-		t.Fatalf("Run = %+v, RunCtx = %+v", ra, rb)
+		t.Fatalf("Run = %+v, ConvergeCtx = %+v", ra, rb)
 	}
 	for v := range cfgA.States {
 		if cfgA.States[v] != cfgB.States[v] {
@@ -167,9 +167,9 @@ func TestShardedRunCtxCancel(t *testing.T) {
 		}
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("sharded RunCtx err = %v, want context.Canceled", err)
+		t.Fatalf("sharded run err = %v, want context.Canceled", err)
 	}
 	if res.Stable || res.Rounds < 3 {
-		t.Fatalf("sharded RunCtx result: %+v", res)
+		t.Fatalf("sharded run result: %+v", res)
 	}
 }

@@ -170,7 +170,7 @@ func TestFrontierFaultScheduleMatchesReference(t *testing.T) {
 				p := core.NewSMM()
 				cfg := equivCfg[core.Pointer](p, g.Clone(), seed)
 				tgt := mk(p, cfg)
-				rep := faults.RunSchedule[core.Pointer](p, tgt, sched, faults.SMMChecker, faults.Options{BoundFactor: 1, BoundSlack: 1})
+				rep := faults.RunSchedule[core.Pointer](p, tgt, sched, faults.SMM)
 				return rep, append([]core.Pointer(nil), cfg.States...)
 			}
 			repF, stF := run(NewFaultLockstep[core.Pointer])

@@ -282,20 +282,13 @@ func (l *Lockstep[S]) RunHook(maxRounds int, hook func(round int, cfg core.Confi
 	return res
 }
 
-// RunCtx is Run with cooperative cancellation: the context is checked
-// once per round, between rounds, so a cancelled or deadline-expired ctx
-// stops the loop at the next round boundary — states are always left at
-// a consistent round cut, never mid-install. The returned error is nil
-// on normal completion and ctx.Err() when the run was cut short; the
-// Result then carries the rounds and moves executed so far with Stable
-// false. Before RunCtx existed a Run on a non-stabilizing execution
-// (e.g. the paper's four-cycle counterexample under the successor
-// policy) was unstoppable from the caller short of killing the process.
-func (l *Lockstep[S]) RunCtx(ctx context.Context, maxRounds int) (Result, error) {
-	return l.runLoop(ctx, maxRounds, true, true, nil)
-}
-
-// ConvergeCtx is RunCtx without the full re-dirty at entry: it trusts
+// ConvergeCtx runs up to maxRounds active rounds with cooperative
+// cancellation: the context is checked once per round, between rounds,
+// so a cancelled ctx stops the loop at the next round boundary, with the
+// states at a consistent round cut and ctx.Err() returned; the Result
+// then carries the rounds and moves executed so far with Stable false.
+//
+// Unlike Run it does not re-dirty every node at entry: it trusts
 // the frontier to already cover every node whose view changed, which
 // holds exactly when all mutations since the last run were reported
 // through DirtyState/DirtyEdge/DirtyView (the fault adapters and the

@@ -324,7 +324,7 @@ func TestShardedFaultScheduleMatchesReference(t *testing.T) {
 				p := core.NewSMM()
 				cfg := equivCfg[core.Pointer](p, g.Clone(), seed)
 				tgt := mk(p, cfg)
-				rep := faults.RunSchedule[core.Pointer](p, tgt, sched, faults.SMMChecker, faults.Options{BoundFactor: 1, BoundSlack: 1})
+				rep := faults.RunSchedule[core.Pointer](p, tgt, sched, faults.SMM)
 				tgt.Close()
 				return rep, append([]core.Pointer(nil), cfg.States...)
 			}

@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -30,6 +31,10 @@ import (
 	"selfstab/internal/harness"
 	"selfstab/internal/sim"
 )
+
+// edgeP is the extra-edge probability of the cells' random connected
+// topologies.
+const edgeP = 0.3
 
 // Protocol and model names accepted by Options.
 var (
@@ -52,9 +57,6 @@ type Options struct {
 	Trials int
 	// Events is the number of fault events per schedule (default 6).
 	Events int
-	// EdgeP is the extra-edge probability of the random connected
-	// topologies (default 0.3).
-	EdgeP float64
 	// Workers sizes the cell pool; 0 or negative selects all CPUs. The
 	// report bytes do not depend on it.
 	Workers int
@@ -82,9 +84,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Events <= 0 {
 		o.Events = 6
-	}
-	if o.EdgeP <= 0 {
-		o.EdgeP = 0.3
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
@@ -193,36 +192,31 @@ func Run(opt Options, out io.Writer) (int, error) {
 func (r *runner) runCell(k cellKey) cellResult {
 	switch k.proto {
 	case "SMM":
-		return runTyped[core.Pointer](r, k,
-			func() core.Protocol[core.Pointer] { return core.NewSMM() },
-			faults.SMMChecker, faults.Options{BoundFactor: 1, BoundSlack: 1})
+		return runTyped(r, k, func() core.Protocol[core.Pointer] { return core.NewSMM() }, faults.SMM)
 	case "SMI":
-		return runTyped[bool](r, k,
-			func() core.Protocol[bool] { return core.NewSMI() },
-			faults.SMIChecker, faults.Options{BoundFactor: 2, BoundSlack: 2})
+		return runTyped(r, k, func() core.Protocol[bool] { return core.NewSMI() }, faults.SMI)
 	}
 	return cellResult{key: k, err: fmt.Sprintf("unknown protocol %q", k.proto)}
 }
 
 // runTyped runs one cell: generate, replay, and on failure shrink and
 // write the repro artifact.
-func runTyped[S comparable](r *runner, k cellKey, mk func() core.Protocol[S],
-	check faults.Checker[S], mopt faults.Options) cellResult {
-
+func runTyped[S comparable](r *runner, k cellKey, mk func() core.Protocol[S], spec faults.Spec[S]) cellResult {
 	opt := r.opt
 	seedFor := func(stream string) int64 {
 		return harness.DeriveSeed(opt.Seed, "soak", k.proto+"/"+k.model+"/"+stream, k.n, k.trial)
 	}
-	g := graph.RandomConnected(k.n, opt.EdgeP, rand.New(rand.NewSource(seedFor("graph"))))
+	g := graph.RandomConnected(k.n, edgeP, rand.New(rand.NewSource(seedFor("graph"))))
 	sched := faults.Generate(seedFor("sched"), g, faults.GenParams{Events: opt.Events, Start: k.n + 2})
-	stateSeed, beaconSeed := seedFor("state"), seedFor("beacon")
+	start := core.NewConfig[S](g)
+	start.Randomize(mk(), rand.New(rand.NewSource(seedFor("state"))))
+	beaconSeed := seedFor("beacon")
 
 	runOnce := func(s faults.Schedule) faults.Report {
 		p := mk()
-		states := arbitraryStates(p, g, stateSeed)
-		t := newTarget(k.model, p, g.Clone(), states, beaconSeed)
+		t := newTarget(k.model, p, core.Config[S]{G: g.Clone(), States: slices.Clone(start.States)}, beaconSeed)
 		defer t.Close()
-		return faults.RunSchedule(p, t, s, check, mopt)
+		return faults.RunSchedule(p, t, s, spec)
 	}
 
 	res := cellResult{key: k, sched: sched, report: runOnce(sched)}
@@ -237,7 +231,7 @@ func runTyped[S comparable](r *runner, k cellKey, mk func() core.Protocol[S],
 	r.addShrinkRuns(runs)
 	res.min = &min
 	if opt.OutDir != "" {
-		path, err := writeArtifact(opt.OutDir, k, g, arbitraryStates(mk(), g, stateSeed), res.report, sched, min, mopt)
+		path, err := writeArtifact(opt.OutDir, k, g, start.States, res.report, sched, min)
 		if err != nil {
 			res.err = err.Error()
 		} else {
@@ -247,57 +241,41 @@ func runTyped[S comparable](r *runner, k cellKey, mk func() core.Protocol[S],
 	return res
 }
 
-// arbitraryStates draws the cell's arbitrary initial configuration from
-// its own seed stream, one protocol-random state per node.
-func arbitraryStates[S comparable](p core.Protocol[S], g *graph.Graph, stateSeed int64) []S {
-	rng := rand.New(rand.NewSource(stateSeed))
-	states := make([]S, g.N())
-	for v := range states {
-		states[v] = p.Random(graph.NodeID(v), g.Neighbors(graph.NodeID(v)), rng)
-	}
-	return states
-}
-
-// newTarget builds the cell's executor over its own topology clone (the
-// engine mutates the topology, and shrinking replays the cell many
-// times).
-func newTarget[S comparable](model string, p core.Protocol[S], g *graph.Graph, states []S, beaconSeed int64) faults.Target[S] {
+// newTarget builds the cell's executor over cfg, which must be the
+// cell's own copy of the topology and the start states (the engine
+// mutates both, and shrinking replays the cell many times).
+func newTarget[S comparable](model string, p core.Protocol[S], cfg core.Config[S], beaconSeed int64) faults.Target[S] {
 	switch model {
 	case "lockstep":
-		cfg := core.NewConfig[S](g)
-		copy(cfg.States, states)
 		return sim.NewFaultLockstep(p, cfg)
 	case "beacon":
 		rng := rand.New(rand.NewSource(beaconSeed))
-		return beacon.NewFaultNetwork(p, g, states, beacon.DefaultParams(), rng)
+		return beacon.NewFaultNetwork(p, cfg.G, cfg.States, beacon.DefaultParams(), rng)
 	}
 	panic("soak: unknown model " + model) // validated in Run
 }
 
 // Artifact is the JSON repro written for a failing cell: everything
-// needed to replay the failure by hand.
+// needed to replay the failure by hand. The protocol names the epoch
+// bound the monitor enforced (faults.SMM or faults.SMI).
 type Artifact[S comparable] struct {
-	Protocol    string          `json:"protocol"`
-	Model       string          `json:"model"`
-	N           int             `json:"n"`
-	Trial       int             `json:"trial"`
-	Graph       *graph.Graph    `json:"graph"`
-	States      []S             `json:"states"`
-	BoundFactor float64         `json:"bound_factor"`
-	BoundSlack  int             `json:"bound_slack"`
-	Schedule    faults.Schedule `json:"schedule"`
-	Minimized   faults.Schedule `json:"minimized"`
-	Failures    []string        `json:"failures"`
+	Protocol  string          `json:"protocol"`
+	Model     string          `json:"model"`
+	N         int             `json:"n"`
+	Trial     int             `json:"trial"`
+	Graph     *graph.Graph    `json:"graph"`
+	States    []S             `json:"states"`
+	Schedule  faults.Schedule `json:"schedule"`
+	Minimized faults.Schedule `json:"minimized"`
+	Failures  []string        `json:"failures"`
 }
 
 func writeArtifact[S comparable](dir string, k cellKey, g *graph.Graph, states []S,
-	rep faults.Report, sched, min faults.Schedule, mopt faults.Options) (string, error) {
+	rep faults.Report, sched, min faults.Schedule) (string, error) {
 
 	a := Artifact[S]{
 		Protocol: k.proto, Model: k.model, N: k.n, Trial: k.trial,
-		Graph: g, States: states,
-		BoundFactor: mopt.BoundFactor, BoundSlack: mopt.BoundSlack,
-		Schedule: sched, Minimized: min, Failures: rep.Failures,
+		Graph: g, States: states, Schedule: sched, Minimized: min, Failures: rep.Failures,
 	}
 	data, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {

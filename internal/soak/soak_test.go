@@ -109,11 +109,9 @@ func (b *noRepairSMM) Move(v core.View[core.Pointer]) (core.Pointer, bool) {
 // schedule still fails on replay.
 func TestFailingCellShrinksAndWritesArtifact(t *testing.T) {
 	dir := t.TempDir()
-	r := &runner{opt: Options{Seed: 11, Events: 6, OutDir: dir, ShrinkRuns: 256, EdgeP: 0.3}}
+	r := &runner{opt: Options{Seed: 11, Events: 6, OutDir: dir, ShrinkRuns: 256}}
 	k := cellKey{proto: "SMM", model: "lockstep", n: 8, trial: 0}
-	res := runTyped[core.Pointer](r, k,
-		func() core.Protocol[core.Pointer] { return &noRepairSMM{smm: core.NewSMM()} },
-		faults.SMMChecker, faults.Options{BoundFactor: 1, BoundSlack: 1})
+	res := runTyped(r, k, func() core.Protocol[core.Pointer] { return &noRepairSMM{smm: core.NewSMM()} }, faults.SMM)
 
 	if !res.report.Failed() {
 		t.Fatalf("broken protocol passed the campaign cell: %v", res.report)
@@ -146,12 +144,12 @@ func TestFailingCellShrinksAndWritesArtifact(t *testing.T) {
 	}
 
 	// The minimized schedule must still fail when replayed from the
-	// artifact's own topology and states.
+	// artifact's own topology and states, under the bound its protocol
+	// names.
 	p := &noRepairSMM{smm: core.NewSMM()}
-	tgt := newTarget[core.Pointer]("lockstep", p, a.Graph.Clone(), a.States, 0)
+	tgt := newTarget("lockstep", p, core.Config[core.Pointer]{G: a.Graph.Clone(), States: a.States}, 0)
 	defer tgt.Close()
-	rep := faults.RunSchedule[core.Pointer](p, tgt, a.Minimized, faults.SMMChecker,
-		faults.Options{BoundFactor: a.BoundFactor, BoundSlack: a.BoundSlack})
+	rep := faults.RunSchedule[core.Pointer](p, tgt, a.Minimized, faults.SMM)
 	if !rep.Failed() {
 		t.Fatalf("minimized schedule no longer fails on replay:\n%s", a.Minimized)
 	}
@@ -165,10 +163,8 @@ func TestFailingCellShrinksAndWritesArtifact(t *testing.T) {
 func TestReportMentionsArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	k := cellKey{proto: "SMM", model: "lockstep", n: 8, trial: 0}
-	r := &runner{opt: Options{Seed: 11, Events: 6, OutDir: dir, ShrinkRuns: 256, EdgeP: 0.3}}
-	res := runTyped[core.Pointer](r, k,
-		func() core.Protocol[core.Pointer] { return &noRepairSMM{smm: core.NewSMM()} },
-		faults.SMMChecker, faults.Options{BoundFactor: 1, BoundSlack: 1})
+	r := &runner{opt: Options{Seed: 11, Events: 6, OutDir: dir, ShrinkRuns: 256}}
+	res := runTyped(r, k, func() core.Protocol[core.Pointer] { return &noRepairSMM{smm: core.NewSMM()} }, faults.SMM)
 	var buf bytes.Buffer
 	if got := render(&buf, r.opt.withDefaults(), []cellResult{res}, r.shrinkRuns); got != 1 {
 		t.Fatalf("render counted %d failures, want 1", got)

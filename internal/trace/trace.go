@@ -1,12 +1,11 @@
 // Package trace records round-by-round observations of a protocol run —
 // state snapshots, SMM type censuses, matching/set sizes — and exports
-// them as CSV or JSON for the experiment reports. A Trace is protocol
+// them as CSV for the experiment reports. A Trace is protocol
 // agnostic: recorders specific to SMM and SMI live alongside it.
 package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -18,21 +17,21 @@ import (
 // Row is one observed round.
 type Row struct {
 	// Round is the 1-based round index (0 = the initial configuration).
-	Round int `json:"round"`
+	Round int
 	// Moves is the number of nodes that moved in this round (0 for the
 	// initial row).
-	Moves int `json:"moves"`
+	Moves int
 	// Metrics holds named observations (e.g. "matched", "census.M").
-	Metrics map[string]float64 `json:"metrics"`
+	Metrics map[string]float64
 }
 
 // Trace is an ordered list of rows sharing a metric schema.
 type Trace struct {
 	// Protocol names the traced protocol.
-	Protocol string `json:"protocol"`
+	Protocol string
 	// Columns fixes the metric order for CSV export.
-	Columns []string `json:"columns"`
-	Rows    []Row    `json:"rows"`
+	Columns []string
+	Rows    []Row
 }
 
 // New creates a trace for a protocol with the given metric columns.
@@ -70,15 +69,6 @@ func (t *Trace) hasColumn(name string) bool {
 // Len returns the number of recorded rows.
 func (t *Trace) Len() int { return len(t.Rows) }
 
-// Metric returns the series of one metric across rounds.
-func (t *Trace) Metric(name string) []float64 {
-	out := make([]float64, len(t.Rows))
-	for i, r := range t.Rows {
-		out[i] = r.Metrics[name]
-	}
-	return out
-}
-
 // WriteCSV exports the trace with header round,moves,<columns...>.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
@@ -99,22 +89,6 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSON exports the trace as indented JSON.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
-
-// ReadJSON parses a trace previously written by WriteJSON.
-func ReadJSON(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("trace: decoding JSON: %w", err)
-	}
-	return &t, nil
 }
 
 // SMMColumns is the metric schema RecordSMM emits: the matched-node

@@ -20,9 +20,8 @@ func TestRecordAndMetric(t *testing.T) {
 	if tr.Len() != 2 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	m := tr.Metric("matched")
-	if len(m) != 2 || m[0] != 0 || m[1] != 2 {
-		t.Fatalf("Metric = %v", m)
+	if m0, m1 := tr.Rows[0].Metrics["matched"], tr.Rows[1].Metrics["matched"]; m0 != 0 || m1 != 2 {
+		t.Fatalf("matched = %v, %v", m0, m1)
 	}
 }
 
@@ -47,28 +46,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if lines[1] != "0,0,1" || lines[2] != "1,2,3" {
 		t.Fatalf("rows = %v", lines[1:])
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	tr := New("SMM", "matched", "M")
-	tr.Record(1, 4, map[string]float64{"matched": 2, "M": 2})
-	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Protocol != "SMM" || back.Len() != 1 || back.Rows[0].Metrics["matched"] != 2 {
-		t.Fatalf("round trip = %+v", back)
-	}
-}
-
-func TestReadJSONError(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{nope")); err == nil {
-		t.Fatal("malformed JSON accepted")
 	}
 }
 
