@@ -226,6 +226,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSMIMove -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzShardPartition -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzGraphStore -fuzztime=30s ./internal/graph/
+	$(GO) test -fuzz=FuzzUnitDisk -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzDenseRounds -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzJournalRecover -fuzztime=30s ./internal/service/
 	$(GO) test -fuzz=FuzzCheckpointDrift -fuzztime=30s ./internal/service/

@@ -13,6 +13,7 @@ package selfstab
 import (
 	"context"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -658,9 +659,26 @@ func megaDisk() *graph.Graph {
 	if megaDiskG == nil {
 		pts := graph.RandomPoints(1_000_000, rand.New(rand.NewSource(42)))
 		// r chosen for expected degree pi*r^2*n ~ 10.
-		megaDiskG = graph.UnitDiskGrid(pts, 0.0018)
+		megaDiskG = graph.UnitDisk(pts, 0.0018)
 	}
 	return megaDiskG
+}
+
+// diskSink keeps BenchmarkShard1M_UnitDisk's builds observable.
+var diskSink *graph.Graph
+
+// BenchmarkShard1M_UnitDisk builds bench/'s converge-1m graph: the
+// unit-disk graph of 1M uniform points at radius √(10/(πn)), expected
+// degree 10, on up to GOMAXPROCS workers.
+func BenchmarkShard1M_UnitDisk(b *testing.B) {
+	const n = 1_000_000
+	pts := graph.RandomPoints(n, rand.New(rand.NewSource(42)))
+	r := math.Sqrt(10 / (math.Pi * n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		diskSink = graph.UnitDisk(pts, r)
+	}
 }
 
 func benchShardSMM(b *testing.B, g *graph.Graph, shards int) {

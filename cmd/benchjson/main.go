@@ -3,10 +3,11 @@
 // fresh runs against them.
 //
 // The JSON file holds an ordered list of runs, each with the parsed
-// ns/op, B/op and allocs/op per benchmark plus the raw benchfmt lines,
-// so `jq -r '.runs[].raw[]' BENCH_2.json | benchstat old.txt -` style
-// pipelines keep working: the raw lines are exactly what benchstat
-// consumes.
+// ns/op, B/op and allocs/op per benchmark, the row's other `value unit`
+// pairs (b.ReportMetric's work counters, fsyncs/op, ...) in a metrics
+// map keyed by unit, plus the raw benchfmt lines, so `jq -r
+// '.runs[].raw[]' BENCH_2.json | benchstat old.txt -` style pipelines
+// keep working: the raw lines are exactly what benchstat consumes.
 //
 // Modes:
 //
@@ -27,10 +28,16 @@
 // regresses on allocs/op — any increase from a 0-alloc baseline (the
 // statically pinned steady state of the shard kernels) is a hard fail,
 // and a nonzero baseline fails past the same proportional threshold.
-// Because it is blocking, it is forgiving about everything that is not
-// a measured regression: a missing or empty baseline passes with a
-// notice (the first run on a runner bootstraps the baseline), and
-// benchmarks absent from the baseline are reported as new, not failed.
+// A pinned row also fails when one of its work counters (rounds/op,
+// moves/op, evals/op, full_rounds/op) rises at all. The counters are
+// deterministic for a given iteration count, so they are compared only
+// between runs of equal iteration counts: a row that draws a fresh
+// configuration per iteration averages its counters over a different
+// sample when b.N differs. Because it is blocking, it is forgiving
+// about everything that is not a measured regression: a missing or
+// empty baseline passes with a notice (the first run on a runner
+// bootstraps the baseline), and benchmarks absent from the baseline
+// are reported as new, not failed.
 // CI measures the baseline on the same runner in the same job (bench
 // main, then bench the candidate), so the ratio compares like with
 // like — committed cross-machine baselines stay with -diff.
@@ -38,8 +45,9 @@
 // The trend mode reads nothing from stdin: it walks every run of every
 // named baseline file (or all BENCH_*.json in the working directory
 // when no files are named) in order and prints, per benchmark, the
-// full ns/op trajectory with the step-over-step delta plus the B/op
-// and allocs/op history — the long view the pairwise modes cannot give.
+// full ns/op trajectory with the step-over-step delta plus the B/op,
+// allocs/op and metrics history — the long view the pairwise modes
+// cannot give.
 package main
 
 import (
@@ -63,7 +71,13 @@ type Bench struct {
 	NsOp     float64 `json:"ns_op"`
 	BOp      int64   `json:"b_op"`
 	AllocsOp int64   `json:"allocs_op"`
+	// Metrics holds the line's other value-unit pairs, keyed by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
+
+// workCounters are the units of the engine rows' deterministic work
+// counts, which the gate fails on any rise of.
+var workCounters = []string{"rounds/op", "moves/op", "evals/op", "full_rounds/op"}
 
 // Run is one benchmark session.
 type Run struct {
@@ -194,7 +208,7 @@ func parseRun(in io.Reader, label string) (Run, error) {
 
 // parseBenchLine parses one benchfmt result line, e.g.
 //
-//	BenchmarkFoo-8   	 300	  4523 ns/op	  128 B/op	  3 allocs/op
+//	BenchmarkFoo-8   	 300	  4523 ns/op	  31.00 rounds/op	  128 B/op	  3 allocs/op
 func parseBenchLine(line string) (Bench, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
@@ -219,6 +233,15 @@ func parseBenchLine(line string) (Bench, bool) {
 			b.BOp, _ = strconv.ParseInt(val, 10, 64)
 		case "allocs/op":
 			b.AllocsOp, _ = strconv.ParseInt(val, 10, 64)
+		default:
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				continue
+			}
+			if b.Metrics == nil {
+				b.Metrics = map[string]float64{}
+			}
+			b.Metrics[unit] = v
 		}
 	}
 	return b, seen
@@ -255,7 +278,7 @@ func gateRuns(path string, newRun Run, threshold float64, pin string, out, errw 
 	}
 	fmt.Fprintf(out, "benchjson gate vs %q (last run of %s), threshold %.2fx ns/op, pin %q\n", base.Label, path, threshold, pin)
 	fmt.Fprintf(out, "%-42s %14s %14s %8s %16s\n", "benchmark", "old ns/op", "new ns/op", "ratio", "allocs old→new")
-	regressed := 0
+	regressed, uncompared := 0, 0
 	fresh := make(map[string]bool, len(newRun.Benchmarks))
 	for _, nb := range newRun.Benchmarks {
 		fresh[nb.Name] = true
@@ -274,17 +297,26 @@ func gateRuns(path string, newRun Run, threshold float64, pin string, out, errw 
 		// proportional threshold as ns/op.
 		allocsBad := (ob.AllocsOp == 0 && nb.AllocsOp > 0) ||
 			(ob.AllocsOp > 0 && float64(nb.AllocsOp) > float64(ob.AllocsOp)*threshold)
+		work, compared := workRises(ob, nb)
+		if !compared {
+			uncompared++
+		}
 		mark := ""
-		if ratio > threshold || allocsBad {
+		if ratio > threshold || allocsBad || work != "" {
 			if pinRe.MatchString(nb.Name) {
-				mark = "  REGRESSION"
-				if allocsBad && ratio <= threshold {
+				switch {
+				case ratio > threshold:
+					mark = "  REGRESSION"
+				case allocsBad:
 					mark = "  REGRESSION (allocs/op)"
+				default:
+					mark = "  REGRESSION (work)"
 				}
 				regressed++
 			} else {
 				mark = "  (regressed, unpinned)"
 			}
+			mark += work
 		}
 		fmt.Fprintf(out, "%-42s %14.0f %14.0f %7.2fx %16s%s\n",
 			nb.Name, ob.NsOp, nb.NsOp, ratio, fmt.Sprintf("%d→%d", ob.AllocsOp, nb.AllocsOp), mark)
@@ -294,12 +326,38 @@ func gateRuns(path string, newRun Run, threshold float64, pin string, out, errw 
 			fmt.Fprintf(out, "%-42s missing from the fresh run (was %.0f ns/op)\n", ob.Name, ob.NsOp)
 		}
 	}
+	if uncompared > 0 {
+		fmt.Fprintf(out, "%d row(s) ran a different iteration count than the base; their work counters were not compared\n", uncompared)
+	}
 	if regressed > 0 {
 		fmt.Fprintf(out, "GATE FAILED: %d pinned benchmark(s) regressed beyond %.2fx\n", regressed, threshold)
 		return 1
 	}
 	fmt.Fprintln(out, "gate passed")
 	return 0
+}
+
+// workRises lists the work counters that rose from ob to nb, as
+// " rounds/op 31→32 ...". It reports compared = false, and lists
+// nothing, when the rows share a counter but ran different numbers of
+// iterations.
+func workRises(ob, nb Bench) (rises string, compared bool) {
+	var sb strings.Builder
+	shared := false
+	for _, unit := range workCounters {
+		o, ok1 := ob.Metrics[unit]
+		n, ok2 := nb.Metrics[unit]
+		if ok1 && ok2 {
+			shared = true
+			if n > o {
+				fmt.Fprintf(&sb, " %s %s→%s", unit, formatFloat(o), formatFloat(n))
+			}
+		}
+	}
+	if ob.Iters != nb.Iters {
+		return "", !shared
+	}
+	return sb.String(), true
 }
 
 // trendPoint is one observation of one benchmark in the history walk.
@@ -362,13 +420,31 @@ func trendRuns(paths []string, out, errw io.Writer) int {
 			if i > 0 && prev > 0 {
 				delta = fmt.Sprintf("%+6.1f%%", (pt.bench.NsOp-prev)/prev*100)
 			}
-			fmt.Fprintf(out, "  %-34s %14.0f ns/op %s %10d B/op %6d allocs/op\n",
-				pt.source, pt.bench.NsOp, delta, pt.bench.BOp, pt.bench.AllocsOp)
+			fmt.Fprintf(out, "  %-34s %14.0f ns/op %s %10d B/op %6d allocs/op%s\n",
+				pt.source, pt.bench.NsOp, delta, pt.bench.BOp, pt.bench.AllocsOp, formatMetrics(pt.bench.Metrics))
 			prev = pt.bench.NsOp
 		}
 	}
 	return 0
 }
+
+// formatMetrics renders a row's metrics in unit order, as
+// " 6169170 moves/op 31 rounds/op", or "" when it has none.
+func formatMetrics(m map[string]float64) string {
+	units := make([]string, 0, len(m))
+	for unit := range m {
+		units = append(units, unit)
+	}
+	sort.Strings(units)
+	var sb strings.Builder
+	for _, unit := range units {
+		fmt.Fprintf(&sb, " %s %s", formatFloat(m[unit]), unit)
+	}
+	return sb.String()
+}
+
+// formatFloat renders v in the fewest digits that read back as v.
+func formatFloat(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 
 // diffRuns compares newRun against the last run recorded in path.
 func diffRuns(path string, newRun Run, threshold float64, out, errw io.Writer) int {

@@ -412,3 +412,97 @@ func TestTrendErrors(t *testing.T) {
 		t.Fatalf("missing empty-glob message: %s", errw.String())
 	}
 }
+
+// benchWithWork is sampleBench with the engine rows' work counters, as
+// b.ReportMetric prints them between ns/op and B/op.
+const benchWithWork = `goos: linux
+goarch: amd64
+pkg: selfstab
+BenchmarkShard1M_SMMDisk1-2   	       2	 810303437 ns/op	  11865691 evals/op	        11.00 full_rounds/op	   6169170 moves/op	        31.00 rounds/op	       0 B/op	       0 allocs/op
+BenchmarkServiceMutations/depth=8-2   	   42070	     27945 ns/op	         0.2495 fsyncs/op	     35785 mut/s	     698 B/op	       8 allocs/op
+PASS
+`
+
+func TestParseBenchLineMetrics(t *testing.T) {
+	r, err := parseRun(strings.NewReader(benchWithWork), "work")
+	if err != nil || len(r.Benchmarks) != 2 {
+		t.Fatalf("parsed %+v, %v", r, err)
+	}
+	smm, svc := r.Benchmarks[0], r.Benchmarks[1]
+	want := map[string]float64{"evals/op": 11865691, "full_rounds/op": 11, "moves/op": 6169170, "rounds/op": 31}
+	if smm.NsOp != 810303437 || smm.AllocsOp != 0 || len(smm.Metrics) != len(want) {
+		t.Fatalf("parsed %+v", smm)
+	}
+	for unit, v := range want {
+		if smm.Metrics[unit] != v {
+			t.Fatalf("%s = %v, want %v", unit, smm.Metrics[unit], v)
+		}
+	}
+	if svc.Metrics["fsyncs/op"] != 0.2495 || svc.Metrics["mut/s"] != 35785 || svc.BOp != 698 {
+		t.Fatalf("parsed %+v", svc)
+	}
+	// A row without extra pairs keeps the old JSON shape: no metrics key.
+	b, _ := parseBenchLine("BenchmarkFoo-8   \t 300\t  4523 ns/op\t  128 B/op\t  3 allocs/op")
+	data, err := json.Marshal(b)
+	if err != nil || strings.Contains(string(data), "metrics") {
+		t.Fatalf("plain row encodes as %s (%v)", data, err)
+	}
+}
+
+func TestGateWorkCounters(t *testing.T) {
+	path := writeBaselineFrom(t, benchWithWork)
+	var out bytes.Buffer
+	if code := run([]string{"-gate", path}, strings.NewReader(benchWithWork), &out, os.Stderr); code != 0 {
+		t.Fatalf("unchanged counters exited %d: %s", code, out.String())
+	}
+	// One more round at the same iteration count fails even with ns/op
+	// flat, and the output names the counter.
+	rise := strings.Replace(benchWithWork, "31.00 rounds/op", "32.00 rounds/op", 1)
+	out.Reset()
+	if code := run([]string{"-gate", path}, strings.NewReader(rise), &out, os.Stderr); code != 1 {
+		t.Fatalf("rounds/op rise exited %d: %s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "REGRESSION (work) rounds/op 31→32") || !strings.Contains(out.String(), "GATE FAILED") {
+		t.Fatalf("gate output: %s", out.String())
+	}
+	// Fewer moves is a gain, not a failure.
+	fall := strings.Replace(benchWithWork, "6169170 moves/op", "6000000 moves/op", 1)
+	out.Reset()
+	if code := run([]string{"-gate", path}, strings.NewReader(fall), &out, os.Stderr); code != 0 {
+		t.Fatalf("moves/op fall exited %d: %s", code, out.String())
+	}
+	// At another iteration count the averages are over another sample:
+	// reported as not compared, never failed.
+	other := strings.Replace(rise, "-2   	       2	", "-2   	       3	", 1)
+	out.Reset()
+	if code := run([]string{"-gate", path}, strings.NewReader(other), &out, os.Stderr); code != 0 {
+		t.Fatalf("rise at another b.N exited %d: %s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "1 row(s) ran a different iteration count") {
+		t.Fatalf("gate output: %s", out.String())
+	}
+	// Outside the pin a rise is only reported.
+	out.Reset()
+	if code := run([]string{"-gate", path, "-pin", "Service"}, strings.NewReader(rise), &out, os.Stderr); code != 0 {
+		t.Fatalf("unpinned rise exited %d: %s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "(regressed, unpinned) rounds/op 31→32") {
+		t.Fatalf("gate output: %s", out.String())
+	}
+}
+
+func TestTrendPrintsMetrics(t *testing.T) {
+	path := writeBaselineFrom(t, benchWithWork)
+	var out bytes.Buffer
+	if code := run([]string{"-trend", path}, strings.NewReader(""), &out, os.Stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, out.String())
+	}
+	for _, want := range []string{
+		"11865691 evals/op 11 full_rounds/op 6169170 moves/op 31 rounds/op",
+		"0.2495 fsyncs/op 35785 mut/s",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("missing %q in:\n%s", want, out.String())
+		}
+	}
+}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -181,60 +180,6 @@ func RandomConnected(n int, p float64, rng *rand.Rand) *Graph {
 	return g
 }
 
-// Point is a position in the unit square used by geometric graphs.
-type Point struct {
-	X, Y float64
-}
-
-// Dist2 returns the squared Euclidean distance between p and q.
-func (p Point) Dist2(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
-// RandomPoints returns n uniform points in the unit square.
-func RandomPoints(n int, rng *rand.Rand) []Point {
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Point{rng.Float64(), rng.Float64()}
-	}
-	return pts
-}
-
-// UnitDisk returns the unit-disk graph of pts with communication radius r:
-// nodes i and j are adjacent iff their distance is at most r. This is the
-// standard abstraction of an ad hoc radio network.
-func UnitDisk(pts []Point, r float64) *Graph {
-	g := New(len(pts))
-	r2 := r * r
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			if pts[i].Dist2(pts[j]) <= r2 {
-				g.AddEdge(NodeID(i), NodeID(j))
-			}
-		}
-	}
-	return g
-}
-
-// RandomUnitDisk places n uniform points in the unit square and grows the
-// radius from r0 until the unit-disk graph is connected, returning the
-// graph and the point set. It panics only if n <= 0.
-func RandomUnitDisk(n int, r0 float64, rng *rand.Rand) (*Graph, []Point) {
-	if n <= 0 {
-		panic(fmt.Sprintf("graph: RandomUnitDisk(%d): need n > 0", n))
-	}
-	pts := RandomPoints(n, rng)
-	r := r0
-	for {
-		g := UnitDisk(pts, r)
-		if IsConnected(g) {
-			return g, pts
-		}
-		r *= 1.25
-	}
-}
-
 // RandomSparseConnected returns a connected random graph on n nodes with
 // expected average degree avgDeg, in O(n·avgDeg) time: a random
 // attachment tree (each node i >= 1 links to a uniform earlier node)
@@ -260,72 +205,6 @@ func RandomSparseConnected(n int, avgDeg float64, rng *rand.Rand) *Graph {
 	}
 	g.compact(0)
 	return g
-}
-
-// UnitDiskGrid returns exactly the graph UnitDisk(pts, r) — same nodes,
-// same edges — in O(n·deg) expected time instead of O(n²). It buckets
-// the points by counting sort into a grid of square cells of side at
-// least r, so every pair within distance r lies in the same or adjacent
-// cells and each point tests only its 3x3 cell neighborhood. The side
-// is also at least 1/√n, which keeps the grid at O(n) cells however
-// small r is. The tests run cell by cell over a copy of the points in
-// cell order, so they read memory in order, and FromEdges builds each
-// row once from the pairs found. It is the million-node unit-disk
-// generator; the unit tests pin its equality with the quadratic
-// definition.
-func UnitDiskGrid(pts []Point, r float64) *Graph {
-	n := len(pts)
-	if n == 0 || !(r > 0) {
-		return New(n)
-	}
-	side := math.Max(r, 1/math.Sqrt(float64(n)))
-	cols := int(1/side) + 1
-	coord := func(x float64) int {
-		c := x / side
-		switch {
-		case !(c > 0):
-			return 0
-		case c >= float64(cols-1):
-			return cols - 1
-		}
-		return int(c)
-	}
-	// Counting sort: cell c's points take slots start[c]:start[c+1], in
-	// ascending ID order; slot k holds point at[k] of node ids[k].
-	cell := make([]int32, n)
-	start := make([]int32, cols*cols+2)
-	for i, p := range pts {
-		cell[i] = int32(coord(p.Y)*cols + coord(p.X))
-		start[cell[i]+2]++
-	}
-	for c := 2; c < len(start); c++ {
-		start[c] += start[c-1]
-	}
-	ids := make([]NodeID, n)
-	at := make([]Point, n)
-	for i, c := range cell {
-		k := start[c+1]
-		start[c+1]++
-		ids[k], at[k] = NodeID(i), pts[i]
-	}
-	// Within a grid row, the three cells of a neighborhood are
-	// consecutive slots.
-	r2 := r * r
-	var es []Edge
-	for c := 0; c < cols*cols; c++ {
-		cx, cy := c%cols, c/cols
-		x0, x1 := max(cx-1, 0), min(cx+1, cols-1)
-		for k := start[c]; k < start[c+1]; k++ {
-			for y := max(cy-1, 0); y <= min(cy+1, cols-1); y++ {
-				for j := start[y*cols+x0]; j < start[y*cols+x1+1]; j++ {
-					if ids[j] > ids[k] && at[k].Dist2(at[j]) <= r2 {
-						es = append(es, Edge{ids[k], ids[j]})
-					}
-				}
-			}
-		}
-	}
-	return FromEdges(n, es)
 }
 
 // RandomPermutation returns a uniformly random permutation of 0..n-1 as

@@ -35,10 +35,10 @@ type NodeID int32
 // rows[v] locates v's list in it. Edits go to both rows in place; a row
 // that outgrows its room moves to the arena tail with twice the room,
 // leaving dead slots behind that a later relocation reclaims, once they
-// pass 1/deadFraction of the store, by compacting. FromEdges (under
-// UnitDiskGrid and Relabel) and compaction lay the rows out back to
-// back in ID order with no free room, so a node-order scan reads the
-// arena in order.
+// pass 1/deadFraction of the store, by compacting. The bulk builders
+// (FromEdges, under Relabel, and UnitDisk) and compaction lay the rows
+// out back to back in ID order with no free room, so a node-order scan
+// reads the arena in order.
 type Graph struct {
 	rows  []row
 	arena []NodeID

@@ -85,54 +85,3 @@ func TestRandomSparseConnected(t *testing.T) {
 		t.Fatalf("tree fallback: M = %d", tree.M())
 	}
 }
-
-func TestUnitDiskGridMatchesQuadratic(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 10; trial++ {
-		n := 1 + rng.Intn(200)
-		r := 0.01 + rng.Float64()*0.5
-		pts := RandomPoints(n, rng)
-		fast := UnitDiskGrid(pts, r)
-		slow := UnitDisk(pts, r)
-		if !fast.Equal(slow) {
-			t.Fatalf("trial %d (n=%d, r=%v): grid and quadratic unit-disk graphs differ", trial, n, r)
-		}
-	}
-	if g := UnitDiskGrid(nil, 0.1); g.N() != 0 {
-		t.Fatal("empty point set")
-	}
-	if g := UnitDiskGrid([]Point{{0.5, 0.5}}, 0); g.M() != 0 {
-		t.Fatal("r=0 must yield no edges")
-	}
-}
-
-// A radius far below the point spacing must give the edgeless graph
-// quickly: the cell grid is sized by the point count, never by r⁻²
-// (at r = 1e-9 that would be 10¹⁸ cells, and r = 1e-300 overflows).
-func TestUnitDiskGridTinyRadius(t *testing.T) {
-	pts := RandomPoints(1000, rand.New(rand.NewSource(11)))
-	for _, r := range []float64{1e-9, 1e-300} {
-		g := UnitDiskGrid(pts, r)
-		if g.N() != len(pts) || g.M() != 0 {
-			t.Fatalf("r=%g: %v, want 1000 nodes and no edges", r, g)
-		}
-		if err := Validate(g); err != nil {
-			t.Fatalf("r=%g: %v", r, err)
-		}
-	}
-}
-
-// Points outside the unit square land in the border cells, so the grid
-// still finds every pair UnitDisk finds, on every side of the square.
-func TestUnitDiskGridOutsideUnitSquare(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		pts := make([]Point, 100)
-		for i := range pts {
-			pts[i] = Point{rng.Float64()*2 - 0.5, rng.Float64()*2 - 0.5}
-		}
-		if !UnitDiskGrid(pts, 0.2).Equal(UnitDisk(pts, 0.2)) {
-			t.Fatalf("trial %d: grid and quadratic unit-disk graphs differ", trial)
-		}
-	}
-}

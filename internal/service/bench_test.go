@@ -106,7 +106,7 @@ func BenchmarkLarge_TenantCheckpointSMI30k(b *testing.B) { benchCheckpoint(b, Pr
 // largeEdges is the topology of the 30k-node rows: a unit disk of mean
 // degree 10 (~150k edges), the shape of bench/'s mut-large tenants.
 func largeEdges(n int) [][2]int {
-	g := graph.UnitDiskGrid(graph.RandomPoints(n, rand.New(rand.NewSource(1))), math.Sqrt(10/(math.Pi*float64(n))))
+	g := graph.UnitDisk(graph.RandomPoints(n, rand.New(rand.NewSource(1))), math.Sqrt(10/(math.Pi*float64(n))))
 	edges := make([][2]int, 0, g.M())
 	for _, e := range g.Edges() {
 		edges = append(edges, [2]int{int(e.U), int(e.V)})

@@ -36,7 +36,7 @@ func fullChecks(t *testing.T, tn *tenant) int {
 func TestLocalCheckFastPath(t *testing.T) {
 	const n, mutations, snapEvery = 2000, 100, 32
 	rng := rand.New(rand.NewSource(5))
-	g := graph.UnitDiskGrid(graph.RandomPoints(n, rng), math.Sqrt(10/(math.Pi*n)))
+	g := graph.UnitDisk(graph.RandomPoints(n, rng), math.Sqrt(10/(math.Pi*n)))
 	var edges [][2]int
 	for _, e := range g.Edges() {
 		edges = append(edges, [2]int{int(e.U), int(e.V)})
