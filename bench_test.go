@@ -452,39 +452,48 @@ func largeDisk(n int) *graph.Graph {
 	return g
 }
 
+// workSeeds is how many start configurations, seeds 0 through
+// workSeeds-1, the BenchmarkLarge_* convergence rows take their work
+// counters from: one untimed pass before the timer starts, so the
+// counters are the same whatever b.N the run settles on. The timed
+// iterations still start iteration i from seed i.
+const workSeeds = 8
+
 func benchLargeSMM(b *testing.B, g *graph.Graph) {
-	var w work
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := benchSMMConfig(g, int64(i))
-		b.StartTimer()
-		l := sim.NewLockstep[core.Pointer](core.NewSMM(), cfg)
-		if res := l.Run(g.N() + 2); !res.Stable {
-			b.Fatal(res)
-		}
-		w = w.plus(engineWork(l), 1)
-	}
-	w.report(b)
+	benchLarge(b, g, core.NewSMM(), func(seed int) core.Config[core.Pointer] { return benchSMMConfig(g, int64(seed)) })
 }
 
 func benchLargeSMI(b *testing.B, g *graph.Graph) {
+	benchLarge(b, g, core.NewSMI(), func(seed int) core.Config[bool] {
+		cfg := core.NewConfig[bool](g)
+		cfg.Randomize(core.NewSMI(), rand.New(rand.NewSource(int64(seed))))
+		return cfg
+	})
+}
+
+// benchLarge times convergences of p on g from start(i) at iteration i
+// and reports the work of the seeds below workSeeds.
+func benchLarge[S comparable](b *testing.B, g *graph.Graph, p core.Protocol[S], start func(seed int) core.Config[S]) {
+	converge := func(cfg core.Config[S]) work {
+		l := sim.NewLockstep(p, cfg)
+		if res := l.Run(g.N() + 2); !res.Stable {
+			b.Fatal(res)
+		}
+		return engineWork(l)
+	}
 	var w work
+	for seed := range workSeeds {
+		w = w.plus(converge(start(seed)), 1)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cfg := core.NewConfig[bool](g)
-		cfg.Randomize(core.NewSMI(), rand.New(rand.NewSource(int64(i))))
+		cfg := start(i)
 		b.StartTimer()
-		l := sim.NewLockstep[bool](core.NewSMI(), cfg)
-		if res := l.Run(g.N() + 2); !res.Stable {
-			b.Fatal(res)
-		}
-		w = w.plus(engineWork(l), 1)
+		converge(cfg)
 	}
-	w.report(b)
+	w.report(b, workSeeds)
 }
 
 // work is an engine's deterministic work: rounds with moves, moves,
@@ -504,10 +513,10 @@ func (w work) plus(o work, sign int) work {
 	return w
 }
 
-// report reports w, the work of b.N iterations, per iteration.
-func (w work) report(b *testing.B) {
+// report reports w, the work of runs convergences, per convergence.
+func (w work) report(b *testing.B, runs int) {
 	for i, unit := range [...]string{"rounds/op", "moves/op", "evals/op", "full_rounds/op"} {
-		b.ReportMetric(float64(w[i])/float64(b.N), unit)
+		b.ReportMetric(float64(w[i])/float64(runs), unit)
 	}
 }
 
@@ -700,7 +709,7 @@ func benchShardSMM(b *testing.B, g *graph.Graph, shards int) {
 			b.Fatal(res)
 		}
 	}
-	engineWork(l).plus(before, -1).report(b)
+	engineWork(l).plus(before, -1).report(b, b.N)
 }
 
 func benchShardSMI(b *testing.B, g *graph.Graph, shards int) {
@@ -723,7 +732,7 @@ func benchShardSMI(b *testing.B, g *graph.Graph, shards int) {
 			b.Fatal(res)
 		}
 	}
-	engineWork(l).plus(before, -1).report(b)
+	engineWork(l).plus(before, -1).report(b, b.N)
 }
 
 func BenchmarkShard1M_SMMSparse1(b *testing.B) { benchShardSMM(b, megaSparse(), 1) }

@@ -29,11 +29,10 @@
 // statically pinned steady state of the shard kernels) is a hard fail,
 // and a nonzero baseline fails past the same proportional threshold.
 // A pinned row also fails when one of its work counters (rounds/op,
-// moves/op, evals/op, full_rounds/op) rises at all. The counters are
-// deterministic for a given iteration count, so they are compared only
-// between runs of equal iteration counts: a row that draws a fresh
-// configuration per iteration averages its counters over a different
-// sample when b.N differs. Because it is blocking, it is forgiving
+// moves/op, evals/op, full_rounds/op) rises at all. The engine rows
+// report them per convergence of a fixed set of start configurations,
+// so they are deterministic and compare whatever b.N each run settled
+// on. Because it is blocking, it is forgiving
 // about everything that is not a measured regression: a missing or
 // empty baseline passes with a notice (the first run on a runner
 // bootstraps the baseline), and benchmarks absent from the baseline
@@ -278,7 +277,7 @@ func gateRuns(path string, newRun Run, threshold float64, pin string, out, errw 
 	}
 	fmt.Fprintf(out, "benchjson gate vs %q (last run of %s), threshold %.2fx ns/op, pin %q\n", base.Label, path, threshold, pin)
 	fmt.Fprintf(out, "%-42s %14s %14s %8s %16s\n", "benchmark", "old ns/op", "new ns/op", "ratio", "allocs old→new")
-	regressed, uncompared := 0, 0
+	regressed := 0
 	fresh := make(map[string]bool, len(newRun.Benchmarks))
 	for _, nb := range newRun.Benchmarks {
 		fresh[nb.Name] = true
@@ -297,10 +296,7 @@ func gateRuns(path string, newRun Run, threshold float64, pin string, out, errw 
 		// proportional threshold as ns/op.
 		allocsBad := (ob.AllocsOp == 0 && nb.AllocsOp > 0) ||
 			(ob.AllocsOp > 0 && float64(nb.AllocsOp) > float64(ob.AllocsOp)*threshold)
-		work, compared := workRises(ob, nb)
-		if !compared {
-			uncompared++
-		}
+		work := workRises(ob, nb)
 		mark := ""
 		if ratio > threshold || allocsBad || work != "" {
 			if pinRe.MatchString(nb.Name) {
@@ -326,9 +322,6 @@ func gateRuns(path string, newRun Run, threshold float64, pin string, out, errw 
 			fmt.Fprintf(out, "%-42s missing from the fresh run (was %.0f ns/op)\n", ob.Name, ob.NsOp)
 		}
 	}
-	if uncompared > 0 {
-		fmt.Fprintf(out, "%d row(s) ran a different iteration count than the base; their work counters were not compared\n", uncompared)
-	}
 	if regressed > 0 {
 		fmt.Fprintf(out, "GATE FAILED: %d pinned benchmark(s) regressed beyond %.2fx\n", regressed, threshold)
 		return 1
@@ -338,26 +331,19 @@ func gateRuns(path string, newRun Run, threshold float64, pin string, out, errw 
 }
 
 // workRises lists the work counters that rose from ob to nb, as
-// " rounds/op 31→32 ...". It reports compared = false, and lists
-// nothing, when the rows share a counter but ran different numbers of
-// iterations.
-func workRises(ob, nb Bench) (rises string, compared bool) {
+// " rounds/op 31→32 ...". The counters are per convergence of a fixed
+// set of start configurations, so they compare whatever iteration
+// counts the two runs settled on.
+func workRises(ob, nb Bench) string {
 	var sb strings.Builder
-	shared := false
 	for _, unit := range workCounters {
 		o, ok1 := ob.Metrics[unit]
 		n, ok2 := nb.Metrics[unit]
-		if ok1 && ok2 {
-			shared = true
-			if n > o {
-				fmt.Fprintf(&sb, " %s %s→%s", unit, formatFloat(o), formatFloat(n))
-			}
+		if ok1 && ok2 && n > o {
+			fmt.Fprintf(&sb, " %s %s→%s", unit, formatFloat(o), formatFloat(n))
 		}
 	}
-	if ob.Iters != nb.Iters {
-		return "", !shared
-	}
-	return sb.String(), true
+	return sb.String()
 }
 
 // trendPoint is one observation of one benchmark in the history walk.

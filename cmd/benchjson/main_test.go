@@ -471,14 +471,14 @@ func TestGateWorkCounters(t *testing.T) {
 	if code := run([]string{"-gate", path}, strings.NewReader(fall), &out, os.Stderr); code != 0 {
 		t.Fatalf("moves/op fall exited %d: %s", code, out.String())
 	}
-	// At another iteration count the averages are over another sample:
-	// reported as not compared, never failed.
+	// The counters do not depend on b.N, so a rise at another iteration
+	// count fails too.
 	other := strings.Replace(rise, "-2   	       2	", "-2   	       3	", 1)
 	out.Reset()
-	if code := run([]string{"-gate", path}, strings.NewReader(other), &out, os.Stderr); code != 0 {
+	if code := run([]string{"-gate", path}, strings.NewReader(other), &out, os.Stderr); code != 1 {
 		t.Fatalf("rise at another b.N exited %d: %s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "1 row(s) ran a different iteration count") {
+	if !strings.Contains(out.String(), "REGRESSION (work) rounds/op 31→32") || strings.Contains(out.String(), "not compared") {
 		t.Fatalf("gate output: %s", out.String())
 	}
 	// Outside the pin a rise is only reported.

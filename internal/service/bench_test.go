@@ -182,3 +182,101 @@ func benchCreate(b *testing.B, protocol string) {
 		b.StartTimer()
 	}
 }
+
+// The BenchmarkLarge_TenantView* rows time the whole-tenant reads of
+// bench/'s read-mix workload through Service.Handler(), as GET serves
+// them: routing, the tenant lookup, the body and its write into an
+// httptest recorder. The tenant is a 10k-node unit disk of mean degree
+// 10 (~50k edges), the size of read-mix's tenants.
+
+// BenchmarkLarge_TenantViewSnapshotSMM10k times GET .../snapshot: the
+// live edge list and the states, encoded afresh by every read.
+func BenchmarkLarge_TenantViewSnapshotSMM10k(b *testing.B) {
+	benchView(b, ProtocolSMM, "snapshot", false)
+}
+
+// BenchmarkLarge_TenantViewSnapshotSMI10k is the SMI twin of the SMM
+// snapshot row.
+func BenchmarkLarge_TenantViewSnapshotSMI10k(b *testing.B) {
+	benchView(b, ProtocolSMI, "snapshot", false)
+}
+
+// BenchmarkLarge_TenantViewMembershipHitSMM10k times GET .../membership
+// on a tenant whose states do not change between reads.
+func BenchmarkLarge_TenantViewMembershipHitSMM10k(b *testing.B) {
+	benchView(b, ProtocolSMM, "membership", false)
+}
+
+// BenchmarkLarge_TenantViewMembershipHitSMI10k is the SMI twin of the
+// SMM membership hit row.
+func BenchmarkLarge_TenantViewMembershipHitSMI10k(b *testing.B) {
+	benchView(b, ProtocolSMI, "membership", false)
+}
+
+// BenchmarkLarge_TenantViewMembershipMissSMM10k times GET .../membership
+// after a mutation, off the clock, that changed a state.
+func BenchmarkLarge_TenantViewMembershipMissSMM10k(b *testing.B) {
+	benchView(b, ProtocolSMM, "membership", true)
+}
+
+// BenchmarkLarge_TenantViewMembershipMissSMI10k is the SMI twin of the
+// SMM membership miss row.
+func BenchmarkLarge_TenantViewMembershipMissSMI10k(b *testing.B) {
+	benchView(b, ProtocolSMI, "membership", true)
+}
+
+// benchView times GET .../<view> on a 10k-node tenant; with change set,
+// every read follows a state change made off the clock.
+func benchView(b *testing.B, protocol, view string, change bool) {
+	const n = 10_000
+	body, err := json.Marshal(tenantMeta{ID: "view", Protocol: protocol, N: n, Seed: 1, Edges: largeEdges(n)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, err := Open(Options{DataDir: b.TempDir(), RatePerSec: 1e9, Burst: 1e9, SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	h := svc.Handler()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/tenants", bytes.NewReader(body)))
+	if w.Code != http.StatusCreated {
+		b.Fatalf("create: status %d: %s", w.Code, w.Body)
+	}
+	tn, err := svc.Tenant("view")
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := "/v1/tenants/view/" + view
+	next := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if change {
+			b.StopTimer()
+			next = changeState(b, tn, next)
+			b.StartTimer()
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			b.Fatalf("GET %s: status %d", path, w.Code)
+		}
+	}
+}
+
+// changeState corrupts nodes next, next+1, ... through the event loop,
+// one mutation each, until an epoch moves a node, and returns the node
+// after the last one corrupted. A corrupt draw can equal the state it
+// overwrites, and then its epoch has nothing to move.
+func changeState(b *testing.B, tn *tenant, next int) int {
+	for moves := tn.status().Moves; tn.status().Moves == moves; next++ {
+		cmd := &command{mut: Mutation{Op: OpCorrupt, Nodes: []int{next % tn.n}}, reply: make(chan cmdResult, 1)}
+		tn.cmds <- cmd
+		if res := <-cmd.reply; res.Err != nil || !res.Legit {
+			b.Fatalf("corrupt node %d: %+v", next%tn.n, res)
+		}
+	}
+	return next
+}

@@ -217,41 +217,66 @@ func getBody(t *testing.T, h http.Handler, path string) []byte {
 // reflection encoder: the checkpoint file byte for byte against
 // json.Marshal of tenantSnapshot (drift, states and a dedup window of
 // keys json must escape), and GET .../snapshot and .../membership
-// against encoding/json's bodies, for SMM and SMI tenants.
+// against encoding/json's bodies, for SMM and SMI tenants of 12 nodes
+// on a path. The wide subtest puts IDs of one to five digits in every
+// list: a tenant of 10012 nodes with a path on 0..11 and one on the
+// twelve nodes below 10012, the rest isolated.
 func TestCheckpointBodyMatchesEncodingJSON(t *testing.T) {
+	const wide = 10_012
 	for _, proto := range []string{ProtocolSMM, ProtocolSMI} {
 		t.Run(proto, func(t *testing.T) {
-			const n = 12
-			dir := t.TempDir()
-			svc := newTestService(t, Options{DataDir: dir, SnapshotEvery: 8})
-			h := svc.Handler()
-			pathTenant(t, h, "j", proto, n)
-			script := mutationScript(n)
-			for i, key := range []string{"a<b", "a>b", "a&b", `"q"`, `a\b`, "tab\tnl\n\x01", "a\u2028b", "\xff é\x7f"} {
-				script[i].Key = key
-			}
-			applyScript(t, h, "j", script)
-			tn, err := svc.Tenant("j")
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := os.ReadFile(snapshotPath(tenantDir(dir, "j"), 8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := checkpointOracle(t, tn, pathEdges(n)); !bytes.Equal(raw, want) {
-				t.Fatalf("checkpoint body differs from json.Marshal:\ngot  %s\nwant %s", raw, want)
-			}
-			if got, want := getBody(t, h, "/v1/tenants/j/snapshot"), snapshotOracle(t, tn); !bytes.Equal(got, want) {
-				t.Fatalf("snapshot body differs from encoding/json:\ngot  %s\nwant %s", got, want)
-			}
-			tn.mu.RLock()
-			want := membershipOracle(t, tn.eng)
-			tn.mu.RUnlock()
-			if got := getBody(t, h, "/v1/tenants/j/membership"); !bytes.Equal(got, want) {
-				t.Fatalf("membership body differs from encoding/json:\ngot  %s\nwant %s", got, want)
-			}
+			checkBodiesMatchEncodingJSON(t, proto, 12, pathEdges(12))
+			t.Run("wide", func(t *testing.T) {
+				checkBodiesMatchEncodingJSON(t, proto, wide, append(pathEdges(12), shiftEdges(pathEdges(12), wide-12)...))
+			})
 		})
+	}
+}
+
+// shiftEdges returns es with every endpoint raised by d.
+func shiftEdges(es [][2]int, d int) [][2]int {
+	out := make([][2]int, len(es))
+	for i, e := range es {
+		out[i] = [2]int{e[0] + d, e[1] + d}
+	}
+	return out
+}
+
+// checkBodiesMatchEncodingJSON runs mutationScript, its keys ones json
+// must escape, on a tenant of n nodes created on edges and compares its
+// checkpoint at seq 8 and its snapshot and membership bodies with
+// encoding/json's.
+func checkBodiesMatchEncodingJSON(t *testing.T, proto string, n int, edges [][2]int) {
+	dir := t.TempDir()
+	svc := newTestService(t, Options{DataDir: dir, SnapshotEvery: 8})
+	h := svc.Handler()
+	if code, _ := doJSON(t, h, "POST", "/v1/tenants", createRequest{ID: "j", Protocol: proto, N: n, Seed: 42, Edges: edges}, nil); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	script := mutationScript(n)
+	for i, key := range []string{"a<b", "a>b", "a&b", `"q"`, `a\b`, "tab\tnl\n\x01", "a\u2028b", "\xff é\x7f"} {
+		script[i].Key = key
+	}
+	applyScript(t, h, "j", script)
+	tn, err := svc.Tenant("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(snapshotPath(tenantDir(dir, "j"), 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := checkpointOracle(t, tn, edges); !bytes.Equal(raw, want) {
+		t.Fatalf("checkpoint body differs from json.Marshal:\ngot  %s\nwant %s", raw, want)
+	}
+	if got, want := getBody(t, h, "/v1/tenants/j/snapshot"), snapshotOracle(t, tn); !bytes.Equal(got, want) {
+		t.Fatalf("snapshot body differs from encoding/json:\ngot  %s\nwant %s", got, want)
+	}
+	tn.mu.RLock()
+	want := membershipOracle(t, tn.eng)
+	tn.mu.RUnlock()
+	if got := getBody(t, h, "/v1/tenants/j/membership"); !bytes.Equal(got, want) {
+		t.Fatalf("membership body differs from encoding/json:\ngot  %s\nwant %s", got, want)
 	}
 }
 
@@ -284,7 +309,7 @@ func TestViewBodiesEdgeCases(t *testing.T) {
 					if got := eng.appendStates(nil); !bytes.Equal(got, states) {
 						t.Fatalf("%s states: got %s, want %s", stage, got, states)
 					}
-					if got, want := eng.appendMembership(nil), membershipOracle(t, eng); !bytes.Equal(got, want) {
+					if got, want := eng.membership(), membershipOracle(t, eng); !bytes.Equal(got, want) {
 						t.Fatalf("%s membership: got %s, want %s", stage, got, want)
 					}
 				}

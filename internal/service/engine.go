@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -76,10 +77,15 @@ type tenantEngine interface {
 	decodeStates(raw json.RawMessage) error
 	// nodeInfo reads one node.
 	nodeInfo(v graph.NodeID) NodeInfo
-	// appendMembership appends the converged structure as a JSON
-	// object: the matched edges (SMM) or the in-set nodes (SMI),
-	// ascending.
-	appendMembership(b []byte) []byte
+	// generation changes whenever a node's state does: a converge that
+	// moved a node, a corrupt draw unlike the state it overwrote, a link
+	// removal whose repair rewrote an endpoint, and a state restore.
+	// Anything read from the states alone is fixed while it holds.
+	generation() uint64
+	// membership returns the converged structure as a JSON object, in a
+	// buffer of its exact length: the matched edges (SMM) or the in-set
+	// nodes (SMI), ascending.
+	membership() []byte
 	// check verifies the legitimacy predicate on the current
 	// configuration (meaningful when converged): the whole configuration
 	// when full is set, otherwise the region the engine's edits since
@@ -112,6 +118,8 @@ type engine[S comparable] struct {
 	width int
 	// fullChecks counts the checks that scanned the whole configuration.
 	fullChecks int
+	// gen is the state generation (see tenantEngine.generation).
+	gen uint64
 	// flipped is the drift: the edges whose presence differs from the
 	// creation topology. Each real flip toggles its edge in or out.
 	flipped map[graph.Edge]struct{}
@@ -124,7 +132,11 @@ func (e *engine[S]) bound() int       { return e.spec.Bound(e.n()) }
 
 func (e *engine[S]) setLink(ed graph.Edge, present bool) {
 	before := e.cfg.G.Version()
+	su, sv := e.cfg.States[ed.U], e.cfg.States[ed.V]
 	e.fl.SetLink(ed, present)
+	if e.cfg.States[ed.U] != su || e.cfg.States[ed.V] != sv {
+		e.gen++
+	}
 	after := e.cfg.G.Version()
 	e.chk.Flip(ed, before, after)
 	if after == before {
@@ -157,7 +169,11 @@ func compareEdges(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cm
 func (e *engine[S]) corrupt(nodes []graph.NodeID, seed int64) {
 	for i, v := range nodes {
 		rng := rand.New(rand.NewSource(core.DeriveSeed(seed, []string{"corrupt"}, i)))
-		e.fl.WriteState(v, e.p.Random(v, e.cfg.G.Neighbors(v), rng))
+		s := e.p.Random(v, e.cfg.G.Neighbors(v), rng)
+		if s != e.cfg.States[v] {
+			e.gen++
+		}
+		e.fl.WriteState(v, s)
 	}
 }
 
@@ -165,7 +181,11 @@ func (e *engine[S]) converge(ctx context.Context, maxRounds int) (int, int, bool
 	l := e.fl.Lockstep()
 	movesBefore := l.Moves()
 	res, err := l.ConvergeCtx(ctx, maxRounds)
-	return res.Rounds, l.Moves() - movesBefore, res.Stable, err
+	moves := l.Moves() - movesBefore
+	if moves > 0 {
+		e.gen++
+	}
+	return res.Rounds, moves, res.Stable, err
 }
 
 func (e *engine[S]) appendStates(b []byte) []byte { return e.app(b, e.cfg.States) }
@@ -177,6 +197,7 @@ func (e *engine[S]) decodeStates(raw json.RawMessage) error {
 		return err
 	}
 	copy(e.cfg.States, states)
+	e.gen++
 	e.chk.Reset()
 	// The restore bypassed the executor's write hooks: re-dirty every
 	// closed neighborhood so the next convergence re-evaluates everyone.
@@ -189,10 +210,16 @@ func (e *engine[S]) decodeStates(raw json.RawMessage) error {
 
 func (e *engine[S]) nodeInfo(v graph.NodeID) NodeInfo { return e.info(e.cfg, v) }
 
-func (e *engine[S]) appendMembership(b []byte) []byte {
-	// Bounds both bodies: at most n/2 pairs or n IDs, with commas.
+func (e *engine[S]) generation() uint64 { return e.gen }
+
+// membership encodes into a buffer of the longest body's length, at
+// most n/2 pairs or n IDs with commas, and returns a copy of the exact
+// length: a bound is cheaper than measuring first, and the body is
+// kept while its generation holds.
+func (e *engine[S]) membership() []byte {
 	n := len(e.cfg.States)
-	return e.mem(slices.Grow(b, n*(idLen(n)+2)+len(`{"edges":[]}`)), e.cfg.States)
+	b := e.mem(make([]byte, 0, n*(idLen(n)+2)+len(`{"edges":[]}`)), e.cfg.States)
+	return append(make([]byte, 0, len(b)), b...)
 }
 
 func (e *engine[S]) check(full bool) (err error) {
@@ -208,21 +235,28 @@ func (e *engine[S]) check(full bool) (err error) {
 	return err
 }
 
+// appendEdges writes each row from its first neighbor above u on, with
+// the row's ",[u," formatted once. Every pair is written after a
+// comma; the first pair's comma becomes the array's opening bracket.
 func (e *engine[S]) appendEdges(b []byte) []byte {
 	g := e.cfg.G
-	b = append(b, '[')
-	first := true
-	for u := range g.N() {
-		for _, v := range g.Neighbors(graph.NodeID(u)) {
-			if graph.NodeID(u) < v {
-				if !first {
-					b = append(b, ',')
-				}
-				first = false
-				b = appendPair(b, u, int(v))
-			}
+	open := len(b)
+	var buf [24]byte
+	for u := range graph.NodeID(g.N()) {
+		row := g.Neighbors(u)
+		i, _ := slices.BinarySearch(row, u)
+		if i == len(row) {
+			continue
+		}
+		pre := append(appendID(append(buf[:0], ',', '['), int(u)), ',')
+		for _, v := range row[i:] {
+			b = append(appendID(append(b, pre...), int(v)), ']')
 		}
 	}
+	if len(b) == open {
+		return append(b, "[]"...)
+	}
+	b[open] = '['
 	return append(b, ']')
 }
 
@@ -289,12 +323,73 @@ func idLen(n int) int { return max(len(strconv.Itoa(n)), 2) }
 // take.
 func pairLen(n int) int { return 2*idLen(n) + 4 }
 
+// digitPairs holds "00" through "99", the two digits of each value
+// below 100 at twice its offset.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// pow10 holds 10^0 through 10^9, the smallest values of each decimal
+// length up to math.MaxUint32's.
+var pow10 = [...]uint32{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// decLen is the decimal length of u >= 10. Scaling the bit length by
+// 1233/4096, just below log10(2), gives the length or one less, and
+// pow10 tells which.
+func decLen(u uint32) int {
+	t := bits.Len32(u) * 1233 >> 12
+	if u < pow10[t] {
+		return t
+	}
+	return t + 1
+}
+
+// appendID appends node ID v in decimal, byte for byte as
+// strconv.AppendInt writes it. Every ID the service writes goes through
+// it. Values in [0, math.MaxInt32] are written in place, two digits per
+// step from digitPairs, with b grown once by their exact length; -1
+// (core.Null) is two fixed bytes, and anything else goes through
+// strconv.
+func appendID(b []byte, v int) []byte {
+	if uint(v) > 1<<31-1 {
+		if v == -1 {
+			return append(b, '-', '1')
+		}
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	u := uint32(v)
+	if u < 10 {
+		return append(b, byte('0'+u))
+	}
+	n := decLen(u)
+	i := len(b) + n
+	b = slices.Grow(b, n)[:i]
+	for u >= 100 {
+		q := u / 100
+		r := (u - q*100) * 2
+		i -= 2
+		b[i], b[i+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		b[i-2], b[i-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		b[i-1] = byte('0' + u)
+	}
+	return b
+}
+
 // appendPair appends [u,v].
 func appendPair(b []byte, u, v int) []byte {
-	b = append(b, '[')
-	b = strconv.AppendInt(b, int64(u), 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(v), 10)
+	b = appendID(append(b, '['), u)
+	b = appendID(append(b, ','), v)
 	return append(b, ']')
 }
 
@@ -333,7 +428,7 @@ func appendPointers(b []byte, states []core.Pointer) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendInt(b, int64(s), 10)
+		b = appendID(b, int(s))
 	}
 	return append(b, ']')
 }
@@ -429,7 +524,7 @@ func smiMembership(b []byte, st []bool) []byte {
 			b = append(b, ',')
 		}
 		first = false
-		b = strconv.AppendInt(b, int64(v), 10)
+		b = appendID(b, v)
 	}
 	return append(b, "]}"...)
 }

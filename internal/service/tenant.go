@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"selfstab/internal/core"
@@ -158,6 +159,18 @@ type tenant struct {
 	// guarded by mu
 	//selfstab:owner loop
 	batchHist [8]int64
+
+	// membership is the GET .../membership body of the engine generation
+	// it names, published by the read that encoded it. Membership is a
+	// function of the states alone, so it stays valid until the engine's
+	// generation moves on.
+	membership atomic.Pointer[genBody]
+}
+
+// genBody is a body encoded at one engine generation.
+type genBody struct {
+	gen  uint64
+	body []byte
 }
 
 type tenantOptions struct {
@@ -243,11 +256,12 @@ func (t *tenant) recoverFrom(entries []Mutation, firstSeg int64) error {
 		// Init epoch: converge the clean starting configuration. This is
 		// seq 0 of the deterministic derivation, so it runs the same
 		// bounded budget mutations do.
-		rounds, moves, stable, err := t.runEpoch(t.bound + 1)
+		t.mu.Lock()
+		_, err := t.epoch(0, t.bound+1, true)
+		t.mu.Unlock()
 		if err != nil {
 			return err
 		}
-		t.noteEpoch(0, rounds, moves, stable, true)
 	}
 	covered := 0
 	for covered < len(entries) && entries[covered].Seq <= last {
@@ -261,12 +275,6 @@ func (t *tenant) recoverFrom(entries []Mutation, firstSeg int64) error {
 		if err := t.replayEntry(m); err != nil {
 			return fmt.Errorf("replay seq %d: %w", m.Seq, err)
 		}
-		budget, counted := t.epochBudget(m)
-		rounds, moves, stable, err := t.runEpoch(budget)
-		if err != nil {
-			return fmt.Errorf("replay seq %d: %w", m.Seq, err)
-		}
-		t.noteEpoch(m.Seq, rounds, moves, stable, counted)
 	}
 	return nil
 }
@@ -392,8 +400,7 @@ func checkDrift(eng tenantEngine, side string, pairs [][2]int, inMeta bool) erro
 func edgeOf(p [2]int) graph.Edge { return graph.NewEdge(graph.NodeID(p[0]), graph.NodeID(p[1])) }
 
 // replayEntry re-applies one journaled mutation during recovery: seq,
-// idempotency key, and the topology/state change (convergence follows
-// in recoverFrom).
+// idempotency key, the topology/state change and its epoch.
 //
 //selfstab:replay
 func (t *tenant) replayEntry(m Mutation) error {
@@ -411,7 +418,12 @@ func (t *tenant) replayEntry(m Mutation) error {
 	if m.Key != "" {
 		remember(t.dedup, &t.dedupR, m.Key, m.Seq)
 	}
-	return applyMutation(t.eng, m)
+	if err := applyMutation(t.eng, m); err != nil {
+		return err
+	}
+	budget, counted := t.epochBudget(m)
+	_, err := t.epoch(m.Seq, budget, counted)
+	return err
 }
 
 // loop is the single writer. Each wakeup gathers a batch from the
@@ -553,9 +565,7 @@ func (t *tenant) handleRun(run []*command) (ok bool) {
 			p.cmd.reply <- p.res
 			continue
 		}
-		t.applyLocked(p.mut)
-		budget, counted := t.epochBudget(p.mut)
-		rounds, moves, stable, err := t.runEpoch(budget)
+		res, err := t.applyEpoch(p.mut)
 		if err != nil {
 			// Killed mid-epoch: the in-memory state is off the
 			// deterministic trajectory and will be discarded; recovery
@@ -563,7 +573,12 @@ func (t *tenant) handleRun(run []*command) (ok bool) {
 			p.cmd.reply <- cmdResult{Seq: p.mut.Seq, Err: err}
 			return false
 		}
-		p.cmd.reply <- t.finish(p.mut, rounds, moves, stable, counted)
+		if t.checkpointDue(p.mut.Seq) {
+			if err := t.checkpoint(); err != nil {
+				res.Err = err
+			}
+		}
+		p.cmd.reply <- res
 	}
 	return true
 }
@@ -630,19 +645,23 @@ func batchBucket(n int) int {
 	return b
 }
 
-// applyLocked applies one prepared entry's topology/state change.
-// Callers invoke it strictly after commitBatch has fsynced the run —
-// the entry is durable before its effect exists in memory. prepare
-// validated the mutation, so a failure here means the engine and the
-// journal have diverged; quarantine via panic rather than ack.
+// applyEpoch applies one prepared entry's topology/state change and
+// runs its epoch, holding the lock from the apply to the epoch's
+// outcome, so no reader sees the change beside the previous epoch's
+// flags. Callers invoke it strictly after commitBatch has fsynced the
+// run — the entry is durable before its effect exists in memory.
+// prepare validated the mutation, so a failure here means the engine
+// and the journal have diverged; quarantine via panic rather than ack.
 //
 //selfstab:applies
-func (t *tenant) applyLocked(m Mutation) {
+func (t *tenant) applyEpoch(m Mutation) (cmdResult, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := applyMutation(t.eng, m); err != nil {
 		panic(fmt.Sprintf("apply journaled mutation seq %d: %v", m.Seq, err))
 	}
+	budget, counted := t.epochBudget(m)
+	return t.epoch(m.Seq, budget, counted)
 }
 
 // epochBudget is the round budget of the epoch after entry m and
@@ -668,53 +687,37 @@ func (t *tenant) epochBudget(m Mutation) (budget int, counted bool) {
 // tenant lock.
 const convergeSlice = 64
 
-// runEpoch drives convergence in slices of convergeSlice rounds,
-// releasing the lock between slices so reads stay responsive during
-// long epochs. The
-// sliced trajectory is pinned byte-identical to a one-shot run by
-// TestConvergeCtxChunkedMatchesOneShot in internal/sim. The only error
-// is the service's kill, checked between rounds and once more at the
-// end: the states may then be off the trajectory, and nothing may be
-// checkpointed.
-func (t *tenant) runEpoch(budget int) (rounds, moves int, stable bool, err error) {
+// epoch runs the epoch of seq on a round budget and folds its outcome
+// into the tenant counters; budget and counted are epochBudget's. The
+// caller holds the lock. Convergence runs in slices
+// of convergeSlice rounds, and the lock is released between slices so
+// reads stay responsive during long epochs; before each release the
+// flags are cleared, so a read between slices sees converged and legit
+// false, never the previous epoch's verdict beside half-converged
+// states. The sliced trajectory is pinned byte-identical to a one-shot
+// run by TestConvergeCtxChunkedMatchesOneShot in internal/sim. The
+// legitimacy check scans the whole tenant at checkpoint seqs and
+// otherwise only the region the epoch touched. The only error is the
+// service's kill, checked between rounds and once more at the end: the
+// states may then be off the trajectory, nothing is folded in and
+// nothing may be checkpointed.
+func (t *tenant) epoch(seq int64, budget int, counted bool) (cmdResult, error) {
+	rounds, moves, stable := 0, 0, false
 	for rounds < budget && !stable {
-		sl := min(convergeSlice, budget-rounds)
-		t.mu.Lock()
-		r, mv, st, cerr := t.eng.converge(t.svcCtx, sl)
-		t.mu.Unlock()
+		if rounds > 0 {
+			t.converged, t.legit, t.checkErr = false, false, ""
+			t.mu.Unlock()
+			t.mu.Lock()
+		}
+		r, mv, st, err := t.eng.converge(t.svcCtx, min(convergeSlice, budget-rounds))
 		rounds, moves, stable = rounds+r, moves+mv, st
-		if cerr != nil {
+		if err != nil {
 			break
 		}
 	}
-	return rounds, moves, stable, t.svcCtx.Err()
-}
-
-// finish updates epoch accounting and checkpoints at the snapshot
-// cadence. Only the event-loop goroutine calls it, so the lock/unlock
-// seams between the steps admit readers but never writers.
-func (t *tenant) finish(m Mutation, rounds, moves int, stable, counted bool) cmdResult {
-	t.noteEpoch(m.Seq, rounds, moves, stable, counted)
-	res := t.epochResult(m.Seq, rounds)
-	if t.checkpointDue(m.Seq) {
-		if err := t.checkpoint(); err != nil {
-			res.Err = err
-		}
+	if err := t.svcCtx.Err(); err != nil {
+		return cmdResult{}, err
 	}
-	return res
-}
-
-// checkpointDue reports whether the epoch of seq ends at a checkpoint
-// seq (seq 0 is the init epoch's).
-func (t *tenant) checkpointDue(seq int64) bool { return t.snapEvery > 0 && seq%t.snapEvery == 0 }
-
-// noteEpoch folds the outcome of the epoch of seq into the tenant
-// counters; counted is epochBudget's.
-// The legitimacy check scans the whole tenant at checkpoint seqs and
-// otherwise only the region the epoch touched.
-func (t *tenant) noteEpoch(seq int64, rounds, moves int, stable, counted bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.roundsTotal += rounds
 	t.movesTotal += moves
 	t.lastEpochRounds = rounds
@@ -736,13 +739,12 @@ func (t *tenant) noteEpoch(seq int64, rounds, moves int, stable, counted bool) {
 			t.legit = true
 		}
 	}
+	return cmdResult{Seq: seq, Rounds: rounds, Converged: t.converged, Legit: t.legit, CheckErr: t.checkErr}, nil
 }
 
-func (t *tenant) epochResult(seq int64, rounds int) cmdResult {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return cmdResult{Seq: seq, Rounds: rounds, Converged: t.converged, Legit: t.legit, CheckErr: t.checkErr}
-}
+// checkpointDue reports whether the epoch of seq ends at a checkpoint
+// seq (seq 0 is the init epoch's).
+func (t *tenant) checkpointDue(seq int64) bool { return t.snapEvery > 0 && seq%t.snapEvery == 0 }
 
 // checkpoint writes a deterministic snapshot of the current
 // (mutation-boundary) state, then retires every journal segment the
@@ -889,11 +891,21 @@ func (t *tenant) snapshotBody() []byte {
 	return append(b, "}\n"...)
 }
 
-// membershipBody returns the GET .../membership body.
+// membershipBody returns the GET .../membership body: the one
+// published for the engine's current generation, or else a fresh
+// encode, which it publishes. The read lock keeps the generation from
+// moving until the body is published, so a published body is never
+// older than the generation it names.
 func (t *tenant) membershipBody() []byte {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.eng.appendMembership(nil)
+	gen := t.eng.generation()
+	if c := t.membership.Load(); c != nil && c.gen == gen {
+		return c.body
+	}
+	body := t.eng.membership()
+	t.membership.Store(&genBody{gen, body})
+	return body
 }
 
 func (t *tenant) node(v int) (NodeInfo, error) {
